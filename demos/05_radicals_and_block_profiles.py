@@ -3,9 +3,12 @@
 In characteristic zero the Jacobson radical is the kernel of the trace form
 of the left regular representation.  On the semisimple part, the ideal
 generated by the degree-2m standard identity collects exactly the matrix
-blocks larger than m, so consecutive ideal dimensions differ by
-(number of j-blocks) * j^2 and the Wedderburn shape over the algebraic
-closure can be read off by exact division.
+blocks larger than m (Amitsur-Levitzki), so consecutive ideal dimensions
+differ by (number of j-blocks) * j^2.  ``block_profile`` does not evaluate
+those identities: the centre has one dimension per block, and on it the
+trace of the algebra is j^2 times the trace of the centre on each block's
+idempotent, so ranks of two small Gram matrices count the j-blocks.  The
+filtration dimensions then follow from the profile.
 """
 
 from algdeform import (
@@ -16,6 +19,7 @@ from algdeform import (
     is_semisimple,
     radical,
 )
+from algdeform.analysis import centre
 from algdeform.constructions import (
     direct_sum,
     dual_numbers,
@@ -36,7 +40,9 @@ print("degree-4 identity span in M2:", identity_span(m2, 2).dim)
 
 alg = direct_sum(m2, scalar_field())
 profile, filtration = block_profile(alg)
-print("\nM2 + scalars: filtration dims", filtration.dims, "-> profile", profile)
+print("\nM2 + scalars: centre dim", centre(alg).dim, "(one per block)")
+print("  profile", profile, "-> filtration dims", filtration.dims)
+print("  check: degree-2 identity ideal", identity_ideal(alg, 1).dim, "(the M2 block)")
 
 # non-semisimple input is profiled through its semisimplification
 ut = upper_triangular_algebra(2)

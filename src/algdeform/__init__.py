@@ -14,8 +14,8 @@ fractions; there is no floating point anywhere.  The pieces:
     Degree-truncated construction of an algebra from generators and
     relations.
 ``analysis``
-    Jacobson radical, standard-identity filtration, Wedderburn block
-    profiles, semisimple-type enumeration.
+    Jacobson radical, standard-identity spans and ideals, Wedderburn block
+    profiles from the centre, semisimple-type enumeration.
 ``deformation``
     Polynomial-type deformation families, exact specialization, schedule
     scans.
@@ -27,77 +27,54 @@ analyze, scan, obstruct, enumerate, and identity-span over JSON files; the
 ``demos/`` directory of the repository walks each capability.
 """
 
-from .algebra import Element, StructureAlgebra, ideal_closure, quotient
-from .analysis import (
-    BlockProfile,
-    FiltrationReport,
-    block_profile,
-    enumerate_semisimple_types,
-    identity_ideal,
-    identity_span,
-    is_semisimple,
-    radical,
-)
-from .deformation import (
-    DeformationFamily,
-    SampledFamily,
-    ScanResult,
-    compare_targets,
-    constant_family,
-    scan,
-    trace_form_determinant,
-)
-from .linalg import GaussianRational, Matrix, Subspace, parse_scalar, span_join
-from .ncpoly import NcPoly, TPoly, parse_ncpoly
-from .obstruction import (
-    ObstructionReport,
-    WordFamily,
-    admissible_targets,
-    family_span_dim,
-    sampled_lower_bound,
-    tower_bound,
-    tower_family,
-)
-from .presentation import BuildResult, Presentation, build
+import importlib
+
+# Public name -> defining module.  Submodules are imported on first access
+# (PEP 562), so ``import algdeform.cli`` loads only what a subcommand uses.
+_EXPORTS = {
+    "algebra": ("Element", "StructureAlgebra", "ideal_closure", "quotient"),
+    "analysis": (
+        "BlockProfile",
+        "FiltrationReport",
+        "block_profile",
+        "enumerate_semisimple_types",
+        "identity_ideal",
+        "identity_span",
+        "is_semisimple",
+        "radical",
+    ),
+    "deformation": (
+        "DeformationFamily",
+        "SampledFamily",
+        "ScanResult",
+        "compare_targets",
+        "constant_family",
+        "scan",
+        "trace_form_determinant",
+    ),
+    "linalg": ("GaussianRational", "Matrix", "Subspace", "parse_scalar", "span_join"),
+    "ncpoly": ("NcPoly", "TPoly", "parse_ncpoly"),
+    "obstruction": (
+        "ObstructionReport",
+        "WordFamily",
+        "admissible_targets",
+        "family_span_dim",
+        "sampled_lower_bound",
+        "tower_bound",
+        "tower_family",
+    ),
+    "presentation": ("BuildResult", "Presentation", "build"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockProfile",
-    "BuildResult",
-    "DeformationFamily",
-    "Element",
-    "FiltrationReport",
-    "GaussianRational",
-    "Matrix",
-    "NcPoly",
-    "ObstructionReport",
-    "Presentation",
-    "SampledFamily",
-    "ScanResult",
-    "StructureAlgebra",
-    "Subspace",
-    "TPoly",
-    "WordFamily",
-    "admissible_targets",
-    "block_profile",
-    "build",
-    "compare_targets",
-    "constant_family",
-    "enumerate_semisimple_types",
-    "family_span_dim",
-    "ideal_closure",
-    "identity_ideal",
-    "identity_span",
-    "is_semisimple",
-    "parse_ncpoly",
-    "parse_scalar",
-    "quotient",
-    "radical",
-    "sampled_lower_bound",
-    "scan",
-    "span_join",
-    "tower_bound",
-    "tower_family",
-    "trace_form_determinant",
-]
+__all__ = sorted(_MODULE_OF)

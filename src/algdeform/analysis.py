@@ -2,10 +2,13 @@
 
 The Jacobson radical is computed as the kernel of the trace form of the left
 regular representation (valid in characteristic zero).  Block profiles over
-the algebraic closure come out of the standard-identity filtration: the layer
-between consecutive identity ideals has dimension (count of j-blocks) * j^2,
-so the profile is read off by exact division.  Everything is computed over
-the Gaussian rationals; span dimensions agree with those over the closure.
+the algebraic closure are read off the centre of the semisimple quotient:
+the centre has one dimension per block, and comparing two trace forms on it
+gives the number of blocks of each size by rank computations alone.  The
+identity-ideal filtration dimensions then follow from Amitsur-Levitzki.
+The standard-identity spans and ideals themselves are still available, at
+exponential cost in the degree.  Everything is computed over the Gaussian
+rationals; ranks and span dimensions agree with those over the closure.
 """
 
 from __future__ import annotations
@@ -22,7 +25,11 @@ class InvalidAlgebraError(RuntimeError):
 
 
 class NonIntegralLayerError(RuntimeError):
-    """A filtration layer is not divisible by the square of its block size."""
+    """The block counts read off the centre do not add up.
+
+    They must number dim Z blocks filling dim S; otherwise the input table
+    was not a valid algebra.
+    """
 
 
 def gram_matrix(alg: StructureAlgebra) -> Matrix:
@@ -205,32 +212,91 @@ class FiltrationReport:
         return f"FiltrationReport(dims={list(self.dims)})"
 
 
-def block_profile(alg: StructureAlgebra):
+def centre(alg: StructureAlgebra) -> Subspace:
+    """Centre of ``alg``: every z with z*d_i = d_i*z for each basis element.
+
+    Row (i, l) of the system is the l-th coordinate of the commutator
+    [z, d_i] = sum_k z_k (c_ki^l - c_ik^l); repeated rows are dropped before
+    elimination.
+    """
+    n = alg.dim
+    table = alg.table
+    rows = dict.fromkeys(
+        tuple(table[k][i][l] - table[i][k][l] for k in range(n))
+        for i in range(n)
+        for l in range(n)
+    )
+    return Matrix(list(rows)).kernel()
+
+
+def block_profile(alg: StructureAlgebra, rad: Subspace = None):
     """Wedderburn block profile over the algebraic closure.
 
-    Non-semisimple input is first replaced by its quotient modulo the
-    radical.  Returns ``(profile, filtration_report)``.
+    Non-semisimple input is first replaced by its quotient S modulo the
+    radical; pass ``rad`` when the caller has already computed it.  The
+    profile is read off the centre Z of S, whose dimension B is the number
+    of blocks.  On the basis z_1..z_B of Z take the Gram matrices
+    G[a][b] = trace of z_a z_b on S and H[a][b] = trace of z_a z_b on Z.  In
+    the block idempotents e_b they are diag(j_b^2) and the identity, so the
+    number of j-blocks is B - rank(G - j^2 H); no roots or inverses are
+    needed.  The counts are certified against B and dim S.  The filtration
+    dimensions follow from Amitsur-Levitzki: the ideal generated by the
+    degree-2m standard identity is the sum of the blocks larger than m.
+    Returns ``(profile, filtration_report)``.
     """
-    rad = radical(alg)
+    if rad is None:
+        rad = radical(alg)
     ss = alg if rad.dim == 0 else quotient(alg, rad)[0]
     n = ss.dim
+    z = centre(ss)
+    blocks = z.dim
+    # Structure constants gamma[a][b][e] of Z.  A product z_a z_b lies in Z,
+    # whose rref basis puts its coordinates at the pivots, so only the pivot
+    # entries of z_a d_j and of z_a z_b are computed.
+    table = ss.table
+    left = [
+        [
+            [sum((za[i] * table[i][j][p] for i in range(n) if za[i]), ZERO) for p in z.pivots]
+            for j in range(n)
+        ]
+        for za in z.basis
+    ]
+    gamma = [
+        [
+            [sum((zb[j] * row[j][e] for j in range(n) if zb[j]), ZERO) for e in range(blocks)]
+            for zb in z.basis
+        ]
+        for row in left
+    ]
+    tau = ss.trace_vector()
+    on_s = [sum((za[l] * tau[l] for l in range(n) if za[l]), ZERO) for za in z.basis]
+    on_z = [sum((gamma[e][c][c] for c in range(blocks)), ZERO) for e in range(blocks)]
+
+    def form(weights):
+        return [
+            [sum((g * w for g, w in zip(v, weights) if g), ZERO) for v in row]
+            for row in gamma
+        ]
+
+    g_form, h_form = form(on_s), form(on_z)
     top = isqrt(n)
-    dims = [n]
-    for m in range(1, top + 1):
-        dims.append(identity_ideal(ss, m).dim)
-    if dims[-1] != 0:
-        raise NonIntegralLayerError(
-            "identity filtration does not terminate; input table is not valid"
-        )
     counts = {}
     for j in range(1, top + 1):
-        layer = dims[j - 1] - dims[j]
-        if layer % (j * j):
-            raise NonIntegralLayerError(
-                f"layer {j} has dimension {layer}, not divisible by {j * j}"
-            )
-        if layer:
-            counts[j] = layer // (j * j)
+        shifted = Matrix(
+            [[g - j * j * h for g, h in zip(gr, hr)] for gr, hr in zip(g_form, h_form)]
+        )
+        c = blocks - shifted.rank
+        if c:
+            counts[j] = c
+    if (
+        sum(counts.values()) != blocks
+        or sum(c * j * j for j, c in counts.items()) != n
+    ):
+        raise NonIntegralLayerError(
+            f"centre of dimension {blocks} gives block counts {counts}, "
+            f"which do not fill dimension {n}; input table is not valid"
+        )
+    dims = [sum(c * j * j for j, c in counts.items() if j > m) for m in range(top + 1)]
     return BlockProfile(counts), FiltrationReport(dims)
 
 

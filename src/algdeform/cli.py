@@ -16,10 +16,10 @@ from pathlib import Path
 
 from .algebra import StructureAlgebra
 from .analysis import block_profile, enumerate_semisimple_types, identity_ideal, identity_span, radical
-from .deformation import load_family, scan
 from .linalg import parse_scalar
-from .obstruction import NotGeneratingError, admissible_targets
-from .presentation import Presentation, PresentationError, build
+
+# deformation, obstruction and presentation are imported by the handlers that
+# use them, so that ``analyze`` starts without loading them.
 
 
 class _UsageError(Exception):
@@ -90,7 +90,9 @@ def _emit(args, document: dict, text_lines):
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _load_presentation(path: Path, max_degree=None) -> Presentation:
+def _load_presentation(path: Path, max_degree=None):
+    from .presentation import Presentation
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -113,6 +115,8 @@ def _load_algebra(path: Path) -> StructureAlgebra:
 
 
 def cmd_build(args) -> int:
+    from .presentation import PresentationError, build
+
     pres = _load_presentation(args.input, args.max_degree)
     try:
         result = build(pres)
@@ -142,7 +146,7 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     alg = _load_algebra(args.input)
     rad = radical(alg)
-    profile, filtration = block_profile(alg)
+    profile, filtration = block_profile(alg, rad)
     semisimple = rad.dim == 0
     document = {
         "dim": alg.dim,
@@ -164,6 +168,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .deformation import load_family, scan
+    from .presentation import PresentationError
+
     try:
         family = load_family(args.input)
     except (OSError, ValueError, KeyError, TypeError, PresentationError) as err:
@@ -202,7 +209,10 @@ def _resolve_generators(args, selector: str):
             raise InputError("need exactly two coordinate vectors separated by ';'")
         elements = []
         for part in parts:
-            coords = [parse_scalar(c) for c in part.split(",")]
+            try:
+                coords = [parse_scalar(c) for c in part.split(",")]
+            except ValueError as err:
+                raise InputError(f"bad coordinate vector {part!r}: {err}") from err
             if len(coords) != alg.dim:
                 raise InputError("coordinate vector length does not match the algebra")
             elements.append(alg.element(coords))
@@ -211,6 +221,8 @@ def _resolve_generators(args, selector: str):
     if len(names) != 2:
         raise InputError("need exactly two generator names, e.g. --generators x,y")
     if "generators" in data:
+        from .presentation import PresentationError, build
+
         pres = _load_presentation(path, args.max_degree)
         try:
             result = build(pres)
@@ -232,6 +244,10 @@ def _resolve_generators(args, selector: str):
 
 
 def cmd_obstruct(args) -> int:
+    from .obstruction import NotGeneratingError, admissible_targets
+
+    if args.trials < 0:
+        raise InputError("--trials must be nonnegative")
     alg, gx, gy = _resolve_generators(args, args.generators)
     try:
         report = admissible_targets(alg, gx, gy, trials=args.trials, seed=args.seed)

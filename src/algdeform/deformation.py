@@ -261,6 +261,8 @@ def load_family(path):
     """Load either family kind from its JSON file format."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a family file must hold a JSON object")
     kind = data.get("kind")
     if kind == "table":
         return DeformationFamily.from_json_dict(data)
@@ -368,7 +370,7 @@ def scan(family, base, count=12) -> ScanResult:
         else:
             alg = family.specialize(s)
         rad = radical(alg)
-        profile, _ = block_profile(alg)
+        profile, _ = block_profile(alg, rad)
         samples.append(
             ScanSample(
                 k,

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -259,6 +260,95 @@ class TestBlockProfile:
         profile2, report2 = block_profile(rescaled)
         assert profile2 == profile
         assert report2.dims == report.dims
+
+
+def identity_ideal_dims(alg):
+    """Oracle: the filtration dims computed from the identity ideals themselves."""
+    rad = radical(alg)
+    ss = alg if rad.dim == 0 else quotient(alg, rad)[0]
+    return (ss.dim,) + tuple(
+        identity_ideal(ss, m).dim for m in range(1, math.isqrt(ss.dim) + 1)
+    )
+
+
+def scrambled(alg, rng, gaussian=False):
+    from algdeform.constructions import change_basis
+    from algdeform.linalg import GaussianRational, Matrix
+
+    n = alg.dim
+    while True:
+        p = Matrix(
+            [
+                [
+                    GaussianRational(rng.randint(-2, 2), rng.randint(-1, 1) if gaussian else 0)
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        )
+        if p.rank == n:
+            return change_basis(alg, p)
+
+
+class TestProfileFromCentre:
+    # small enough that the exponential oracle stays fast on dense bases
+    SEMISIMPLE = ((1,), (2,), (1, 1, 1), (2, 1), (2, 1, 1))
+    NON_SEMISIMPLE = (
+        lambda: upper_triangular_algebra(3),
+        lambda: direct_sum(upper_triangular_algebra(2), dual_numbers()),
+        lambda: direct_sum(dual_numbers(), matrix_unit_algebra(2)),
+    )
+
+    def test_dims_match_identity_ideals_on_matrix_units(self):
+        for sizes in self.SEMISIMPLE + ((3,), (2, 2), (3, 1)):
+            alg = from_block_sizes(sizes)
+            assert block_profile(alg)[1].dims == identity_ideal_dims(alg), sizes
+
+    def test_dims_match_identity_ideals_on_scrambled_bases(self):
+        rng = random.Random(23)
+        for sizes in self.SEMISIMPLE:
+            for gaussian in (False, True):
+                alg = scrambled(from_block_sizes(sizes), rng, gaussian)
+                assert block_profile(alg)[1].dims == identity_ideal_dims(alg), (sizes, gaussian)
+
+    def test_dims_match_identity_ideals_on_non_semisimple_sums(self):
+        rng = random.Random(29)
+        for make in self.NON_SEMISIMPLE:
+            for alg in (make(), scrambled(make(), rng, gaussian=True)):
+                assert block_profile(alg)[1].dims == identity_ideal_dims(alg)
+
+    def test_given_radical_gives_the_same_answer(self):
+        alg = direct_sum(upper_triangular_algebra(2), matrix_unit_algebra(2))
+        expected, expected_report = block_profile(alg)
+        profile, report = block_profile(alg, radical(alg))
+        assert profile == expected == BlockProfile({1: 2, 2: 1})
+        assert report.dims == expected_report.dims
+
+    def test_centre_counts_the_blocks(self):
+        from algdeform.analysis import centre
+
+        assert centre(from_block_sizes((2, 2, 1))).dim == 3
+        assert centre(upper_triangular_algebra(3)).dim == 1
+        assert centre(dual_numbers()).dim == 2
+
+    def test_counts_that_do_not_fill_the_algebra_raise(self):
+        # non-associative, with a nondegenerate trace form, so the radical
+        # check passes; the centre is the scalars, one block of dimension 3
+        from algdeform.analysis import NonIntegralLayerError
+
+        bad = StructureAlgebra(
+            ["1", "a", "b"],
+            [
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+                [[0, 0, 1], [0, 0, -1], [1, 0, 0]],
+            ],
+            [1, 0, 0],
+        )
+        assert not bad.validate().ok
+        assert radical(bad).dim == 0
+        with pytest.raises(NonIntegralLayerError):
+            block_profile(bad)
 
 
 class TestEnumeration:

@@ -155,6 +155,14 @@ class TestScan:
         )
         assert proc.returncode == 2
 
+    def test_json_array_input_exits_2(self, tmp_path):
+        path = tmp_path / "array.json"
+        path.write_text("[1, 2]")
+        proc = run_cli("scan", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: ")
+        assert b"Traceback" not in proc.stderr
+
 
 class TestObstruct:
     def test_contraction_algebra_targets(self):
@@ -189,6 +197,20 @@ class TestObstruct:
         )
         assert proc.returncode == 2
         assert b"dimension 2" in proc.stderr
+
+    def test_negative_trials_exit_2(self, m2_algebra):
+        proc = run_cli(
+            "obstruct", "--input", str(m2_algebra),
+            "--generators", "0,1,1,0;1,0,0,0", "--trials", "-1",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == ["error: --trials must be nonnegative"]
+
+    def test_non_numeric_coordinates_exit_2(self, m2_algebra):
+        proc = run_cli("obstruct", "--input", str(m2_algebra), "--generators", "a,b;c,d")
+        assert proc.returncode == 2
+        assert proc.stderr.decode().startswith("error: bad coordinate vector 'a,b'")
+        assert b"Traceback" not in proc.stderr
 
 
 class TestEnumerate:
@@ -244,3 +266,28 @@ class TestUsageAndDeterminism:
             second = run_cli(*argv)
             assert first.returncode == second.returncode == 0, first.stderr.decode()
             assert first.stdout == second.stdout, argv
+
+
+class TestStartup:
+    def test_cli_import_skips_modules_analyze_does_not_use(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        code = (
+            "import sys, algdeform.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('algdeform'))))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, env=env, cwd=REPO, check=True
+        )
+        assert proc.stdout.decode().split() == [
+            "algdeform", "algdeform.algebra", "algdeform.analysis",
+            "algdeform.cli", "algdeform.linalg",
+        ]
+
+    def test_package_names_load_on_first_use(self):
+        import algdeform
+
+        for name in algdeform.__all__:
+            assert getattr(algdeform, name).__name__ == name
+        with pytest.raises(AttributeError):
+            algdeform.no_such_name
