@@ -7,7 +7,7 @@ exact: no tolerance ever enters a comparison.
 
 from fractions import Fraction
 
-from algdeform import GaussianRational, Matrix, Subspace, parse_scalar, span_join
+from algdeform import GaussianRational, Matrix, Subspace, parse_scalar
 
 # Scalars parse from the same text syntax all the file formats use.
 a = parse_scalar("1/2+3/4*i")
@@ -30,7 +30,7 @@ print("kernel contains (-2, 1):", kernel.contains([-2, 1]))
 # Subspaces are canonical: equality is a data comparison of rref bases.
 u = Subspace.from_vectors(3, [[1, 1, 0]])
 v = Subspace.from_vectors(3, [[1, -1, 0]])
-plane = span_join(u, v)
+plane = u.join(v)
 print("\njoin of two lines has dimension", plane.dim)
 print("the join misses (0,0,1):", not plane.contains([0, 0, 1]))
 

@@ -52,7 +52,7 @@ _EXPORTS = {
         "scan",
         "trace_form_determinant",
     ),
-    "linalg": ("GaussianRational", "Matrix", "Subspace", "parse_scalar", "span_join"),
+    "linalg": ("GaussianRational", "Matrix", "Subspace", "parse_scalar"),
     "ncpoly": ("NcPoly", "TPoly", "parse_ncpoly"),
     "obstruction": (
         "ObstructionReport",

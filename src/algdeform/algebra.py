@@ -5,6 +5,11 @@ A :class:`StructureAlgebra` stores the full multiplication tensor: entry
 and j.  The unit is an explicit coordinate vector rather than a distinguished
 basis slot, because quotients and presentation builders routinely produce
 bases where no single basis element is the identity.
+
+Every product goes through one sparse contraction of that tensor,
+:func:`_combine`, which sums scalar multiples of table entries while walking
+only their nonzero coordinates.  It needs nothing of its scalars but ``*``,
+``+`` and truth, so t-polynomial deformation tables share it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ class ValidationReport:
     """
 
     __slots__ = ("associativity", "unit")
+    VALID = "valid: associativity and unit law hold"
+    WHERE = ""  # how the failures hold, e.g. " in t"
 
     def __init__(self, associativity, unit):
         self.associativity = tuple(associativity)
@@ -40,15 +47,23 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.associativity and not self.unit
 
+    def failures(self):
+        """One line per failure: the triples in order, then the unit indices."""
+        where = self.WHERE
+        return [
+            f"associativity fails{where} at basis triple ({i}, {j}, {k})"
+            for i, j, k in self.associativity
+        ] + [f"unit law fails{where} at basis index {j} ({side})" for j, side in self.unit]
+
+    def summary(self) -> str:
+        """The failure count and the first failure, on one line."""
+        lines = self.failures()
+        if not lines:
+            return self.VALID
+        return f"{len(lines)} failure{'s' if len(lines) > 1 else ''}, first: {lines[0]}"
+
     def __str__(self):
-        if self.ok:
-            return "valid: associativity and unit law hold"
-        lines = []
-        for i, j, k in self.associativity:
-            lines.append(f"associativity fails at basis triple ({i}, {j}, {k})")
-        for j, side in self.unit:
-            lines.append(f"unit law fails at basis index {j} ({side})")
-        return "\n".join(lines)
+        return "\n".join(self.failures()) or self.VALID
 
 
 class Element:
@@ -161,13 +176,7 @@ class StructureAlgebra:
 
     def _sparse_table(self):
         if self._sparse is None:
-            self._sparse = tuple(
-                tuple(
-                    tuple((l, c) for l, c in enumerate(vec) if c)
-                    for vec in row
-                )
-                for row in self.table
-            )
+            self._sparse = _sparse_entries(self.table)
         return self._sparse
 
     def multiply_coords(self, a, b):
@@ -175,42 +184,20 @@ class StructureAlgebra:
         n = self.dim
         if len(a) != n or len(b) != n:
             raise ValueError("coordinate length does not match algebra dimension")
-        sparse = self._sparse_table()
-        out = [ZERO] * n
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = sparse[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                ab = ai * bj
-                for l, c in row[j]:
-                    out[l] = out[l] + ab * c
-        return tuple(out)
-
-    def multiply(self, a: Element, b: Element) -> Element:
-        return a * b
+        product = _product(self._sparse_table(), _support(a), _support(b))
+        return _dense(product, n)
 
     def sparse_multiply(self, a: dict, b: dict) -> dict:
         """Product of sparse coordinate dicts {index: scalar}; zero-free output."""
-        sparse = self._sparse_table()
-        out = {}
-        for i, ai in a.items():
-            row = sparse[i]
-            for j, bj in b.items():
-                ab = ai * bj
-                for l, c in row[j]:
-                    term = ab if c == 1 else ab * c
-                    prev = out.get(l)
-                    out[l] = term if prev is None else prev + term
-        return {l: v for l, v in out.items() if v}
+        return _product(self._sparse_table(), a.items(), b.items())
 
     def left_regular(self, a: Element) -> Matrix:
         """Matrix of y -> a∘y on the basis; column j is a∘d_j."""
         n = self.dim
-        cols = [self.multiply_coords(a.coords, _unit_vec(n, j)) for j in range(n)]
-        return Matrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        sparse = self._sparse_table()
+        terms = _support(a.coords)
+        cols = [_combine((c, sparse[i][j]) for i, c in terms) for j in range(n)]
+        return Matrix([[col.get(i, ZERO) for col in cols] for i in range(n)])
 
     def trace_vector(self):
         """trace(L_{d_i}) for each basis index i; linear data for the Gram form."""
@@ -224,24 +211,15 @@ class StructureAlgebra:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        n = self.dim
-        assoc = []
-        for i in range(n):
-            for j in range(n):
-                vij = self.table[i][j]
-                for k in range(n):
-                    left = self.multiply_coords(vij, _unit_vec(n, k))
-                    right = self.multiply_coords(_unit_vec(n, i), self.table[j][k])
-                    if left != right:
-                        assoc.append((i, j, k))
-        unit = []
-        for j in range(n):
-            ej = _unit_vec(n, j)
-            if self.multiply_coords(self.unit, ej) != ej:
-                unit.append((j, "left"))
-            if self.multiply_coords(ej, self.unit) != ej:
-                unit.append((j, "right"))
-        return ValidationReport(assoc, unit)
+        """Check associativity on every basis triple and the unit law on every
+        basis element.
+
+        Each side of (e_i e_j) e_k = e_i (e_j e_k) is one contraction of the
+        sparse table, so the cost is the number of nonzero products
+        c_ij^l·c_lk^m and c_jk^l·c_il^m over all triples, not 2n³ products
+        with dense unit vectors.
+        """
+        return ValidationReport(*_axiom_failures(self._sparse_table(), self.unit, ONE))
 
     # -- serialization ----------------------------------------------------------
 
@@ -285,6 +263,75 @@ def _unit_vec(n, i):
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
+def _support(vec):
+    """The nonzero ``(index, scalar)`` pairs of a coordinate vector."""
+    return [(i, GaussianRational.coerce(c)) for i, c in enumerate(vec) if c]
+
+
+def _dense(sparse_vec, n):
+    return tuple(sparse_vec.get(l, ZERO) for l in range(n))
+
+
+def _sparse_entries(table):
+    """The table with each entry cut down to its nonzero ``(index, scalar)`` pairs."""
+    return tuple(
+        tuple(tuple((l, c) for l, c in enumerate(vec) if c) for vec in row)
+        for row in table
+    )
+
+
+def _combine(terms):
+    """Σ coeff·entry over ``(coeff, entry)`` pairs, each entry a sparse table
+    vector; returns the nonzero sums as ``{index: scalar}``.
+
+    The structure-tensor contraction behind every product in this module.
+    It touches only nonzero coordinates and skips the multiply by a
+    structure constant equal to 1.
+    """
+    out = {}
+    for coeff, entry in terms:
+        for l, c in entry:
+            term = coeff if c == 1 else coeff * c
+            prev = out.get(l)
+            out[l] = term if prev is None else prev + term
+    return {l: v for l, v in out.items() if v}
+
+
+def _product(sparse, a, b):
+    """a·b for vectors given as nonzero ``(index, scalar)`` pairs; ``b`` is
+    iterated once per pair of ``a``."""
+    return _combine((ai * bj, sparse[i][j]) for i, ai in a for j, bj in b)
+
+
+def _axiom_failures(sparse, unit, one):
+    """Failing associativity triples and unit-law indices of a sparse table.
+
+    (e_i e_j) e_k = Σ_l c_ij^l T[l][k] is compared with
+    e_i (e_j e_k) = Σ_l c_jk^l T[i][l] for all (i, j, k) in lexicographic
+    order, then u·e_j and e_j·u with e_j for each j.  ``unit`` holds scalars
+    of the table's type and ``one`` is that type's 1.
+    """
+    n = len(sparse)
+    assoc = []
+    for i, row_i in enumerate(sparse):
+        for j, c_ij in enumerate(row_i):
+            row_j = sparse[j]
+            for k in range(n):
+                left = _combine((c, sparse[l][k]) for l, c in c_ij)
+                right = _combine((c, row_i[l]) for l, c in row_j[k])
+                if left != right:
+                    assoc.append((i, j, k))
+    unit = [(l, u) for l, u in enumerate(unit) if u]
+    failures = []
+    for j in range(n):
+        e_j = {j: one}
+        if _combine((u, sparse[l][j]) for l, u in unit) != e_j:
+            failures.append((j, "left"))
+        if _combine((u, sparse[j][l]) for l, u in unit) != e_j:
+            failures.append((j, "right"))
+    return assoc, failures
+
+
 def ideal_closure(alg: StructureAlgebra, seed: Subspace) -> Subspace:
     """Smallest two-sided ideal of ``alg`` containing ``seed``.
 
@@ -294,14 +341,15 @@ def ideal_closure(alg: StructureAlgebra, seed: Subspace) -> Subspace:
     if seed.ambient_dim != alg.dim:
         raise ValueError("seed ambient dimension does not match algebra dimension")
     n = alg.dim
+    sparse = alg._sparse_table()
     current = seed
     while True:
         vectors = list(current.basis)
         for v in current.basis:
+            terms = _support(v)
             for i in range(n):
-                ei = _unit_vec(n, i)
-                vectors.append(alg.multiply_coords(ei, v))
-                vectors.append(alg.multiply_coords(v, ei))
+                vectors.append(_dense(_combine((c, sparse[i][l]) for l, c in terms), n))
+                vectors.append(_dense(_combine((c, sparse[l][i]) for l, c in terms), n))
         grown = Subspace.from_vectors(n, vectors)
         if grown.dim == current.dim:
             return grown

@@ -300,14 +300,22 @@ def block_profile(alg: StructureAlgebra, rad: Subspace = None):
     return BlockProfile(counts), FiltrationReport(dims)
 
 
+# Largest dimension whose block profiles are enumerated.  Their number grows
+# faster than any polynomial: 6521 at n = 150, 94987 at n = 250.
+MAX_ENUMERATE_DIM = 144
+
+
 def enumerate_semisimple_types(n: int, max_block=None):
     """All block profiles of total dimension n, in a deterministic order.
 
     Equivalently: multisets of positive integers whose squares sum to n,
-    optionally capped at ``max_block``.
+    optionally capped at ``max_block``.  n may not exceed
+    :data:`MAX_ENUMERATE_DIM`.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
+    if n > MAX_ENUMERATE_DIM:
+        raise ValueError(f"dimension {n} is above the cap of {MAX_ENUMERATE_DIM}")
     cap = isqrt(n) if max_block is None else min(int(max_block), isqrt(n))
     found = []
 

@@ -110,7 +110,7 @@ def _load_algebra(path: Path) -> StructureAlgebra:
         raise InputError(f"cannot read algebra {path}: {err}") from err
     report = alg.validate()
     if not report.ok:
-        raise InputError(f"algebra file {path} is not a valid algebra:\n{report}")
+        raise InputError(f"algebra file {path} is not a valid algebra: {report.summary()}")
     return alg
 
 
@@ -267,9 +267,10 @@ def cmd_obstruct(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
-    if args.n < 1:
-        raise InputError("dimension must be at least 1")
-    profiles = enumerate_semisimple_types(args.n)
+    try:
+        profiles = enumerate_semisimple_types(args.n)
+    except ValueError as err:
+        raise InputError(str(err)) from err
     document = {
         "n": args.n,
         "profiles": [p.to_json_dict() for p in profiles],

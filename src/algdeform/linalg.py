@@ -410,7 +410,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
-
-
-def span_join(a: Subspace, b: Subspace) -> Subspace:
-    return a.join(b)

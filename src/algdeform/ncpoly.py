@@ -163,10 +163,6 @@ TPOLY_ZERO = TPoly()
 TPOLY_ONE = TPoly.const(1)
 
 
-def tpoly_eval(p: TPoly, s) -> GaussianRational:
-    return p.eval(s)
-
-
 def _monomial_str(c: GaussianRational, k: int, word_part: str):
     """String for c * t^k * word, with the sign pulled out when unambiguous.
 
@@ -466,7 +462,3 @@ def parse_ncpoly(src: str, generators) -> NcPoly:
     poly = parser.parse_expr()
     parser.finish()
     return poly
-
-
-def nc_multiply(a: NcPoly, b: NcPoly) -> NcPoly:
-    return a * b

@@ -46,12 +46,18 @@ class NotClosedError(PresentationError):
     """Multiplication does not close on the stabilized basis; the cap is too low."""
 
 
+# Highest truncation degree a build may be given.  A build walks every word
+# up to that degree, g^degree of them for g generators.
+MAX_DEGREE = 64
+
+
 class Presentation:
     """Generators, relations constant in t, and the expected dimension.
 
     ``max_degree`` caps the truncation degree; the default doubles the longest
     relation degree plus two, which is ample for presentations whose quotient
-    basis words are no longer than the relations themselves.
+    basis words are no longer than the relations themselves.  A given value
+    may not exceed :data:`MAX_DEGREE`, and the default is cut down to it.
     """
 
     __slots__ = ("generators", "relations", "expected_dim", "max_degree")
@@ -79,10 +85,12 @@ class Presentation:
             raise ValueError("expected_dim must be at least 1")
         if max_degree is None:
             longest = max((r.degree for r in rels), default=1)
-            max_degree = 2 * longest + 2
+            max_degree = min(2 * longest + 2, MAX_DEGREE)
         self.max_degree = int(max_degree)
         if self.max_degree < 1:
             raise ValueError("max_degree must be at least 1")
+        if self.max_degree > MAX_DEGREE:
+            raise ValueError(f"max_degree {self.max_degree} is above the cap of {MAX_DEGREE}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -129,8 +137,6 @@ class BuildResult:
         for letter in word:
             el = el * self._letter_elements[letter]
         return el
-
-    evaluate_word = reduce
 
     def generator_element(self, name) -> Element:
         return self._letter_elements[self.generators.index(name)]

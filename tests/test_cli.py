@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,14 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "demos" / "data"
+
+
+def random_table(n, seed, entry=str):
+    """A seeded table of small integers; associativity fails almost everywhere."""
+    rng = random.Random(seed)
+    return [
+        [[entry(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)] for _ in range(n)
+    ]
 
 
 def run_cli(*argv, cwd=None):
@@ -68,6 +77,22 @@ class TestBuild:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["dim"] == 2
 
+    def test_max_degree_above_the_cap_exits_2(self, tmp_path):
+        from algdeform.presentation import MAX_DEGREE
+
+        over = MAX_DEGREE + 1
+        pres = json.loads((DATA / "contraction_dim12.json").read_text())
+        pres["max_degree"] = over
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(pres))
+        for source in (["--input", str(path)],
+                       ["--input", str(DATA / "contraction_dim12.json"), "--max-degree", str(over)]):
+            proc = run_cli("build", *source, "--out", str(tmp_path / "o.json"))
+            assert proc.returncode == 2
+            lines = proc.stderr.decode().splitlines()
+            assert len(lines) == 1
+            assert lines[0].endswith(f"max_degree {over} is above the cap of {MAX_DEGREE}")
+
     def test_dimension_mismatch_exits_2(self, tmp_path):
         pres = json.loads((DATA / "contraction_dim12.json").read_text())
         pres["expected_dim"] = 11
@@ -118,6 +143,17 @@ class TestAnalyze:
         proc = run_cli("analyze", "--input", str(path))
         assert proc.returncode == 2
 
+    def test_non_associative_table_gives_one_error_line(self, tmp_path):
+        path = tmp_path / "random.json"
+        doc = {"dim": 8, "unit": ["1"] + ["0"] * 7, "table": random_table(8, 8)}
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analyze", "--input", str(path))
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error: algebra file {path} is not a valid algebra: ")
+        assert ", first: associativity fails at basis triple (0, 0, 0)" in lines[0]
+
 
 class TestScan:
     def test_dual_family_stable(self):
@@ -154,6 +190,35 @@ class TestScan:
             "scan", "--input", str(DATA / "dual_number_family.json"), "--base", "-1"
         )
         assert proc.returncode == 2
+
+    def test_non_associative_table_family_gives_one_error_line(self, tmp_path):
+        path = tmp_path / "random_family.json"
+        doc = {
+            "kind": "table",
+            "dim": 4,
+            "unit": ["1", "0", "0", "0"],
+            "table": random_table(4, 4, entry=lambda c: [str(c), "1"]),
+        }
+        path.write_text(json.dumps(doc))
+        proc = run_cli("scan", "--input", str(path))
+        assert proc.returncode == 2
+        lines = proc.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: family is not valid: ")
+        assert ", first: associativity fails in t at basis triple " in lines[0]
+
+    def test_count_above_the_cap_exits_2(self):
+        from algdeform.deformation import MAX_SCAN_COUNT
+
+        proc = run_cli(
+            "scan", "--input", str(DATA / "dual_number_family.json"),
+            "--count", str(MAX_SCAN_COUNT + 1),
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            f"error: schedule count {MAX_SCAN_COUNT + 1} is above the cap of "
+            f"{MAX_SCAN_COUNT} samples"
+        ]
 
     def test_json_array_input_exits_2(self, tmp_path):
         path = tmp_path / "array.json"
@@ -227,6 +292,16 @@ class TestEnumerate:
 
     def test_zero_exits_2(self):
         assert run_cli("enumerate", "0").returncode == 2
+
+    def test_dimension_above_the_cap_exits_2(self):
+        from algdeform.analysis import MAX_ENUMERATE_DIM
+
+        over = MAX_ENUMERATE_DIM + 1
+        proc = run_cli("enumerate", str(over))
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            f"error: dimension {over} is above the cap of {MAX_ENUMERATE_DIM}"
+        ]
 
 
 class TestIdentitySpan:

@@ -9,7 +9,6 @@ from algdeform.linalg import (
     ScalarSyntaxError,
     Subspace,
     parse_scalar,
-    span_join,
 )
 
 
@@ -170,23 +169,22 @@ class TestSubspace:
     def test_join_axes(self):
         a = Subspace.from_vectors(2, [[1, 0]])
         b = Subspace.from_vectors(2, [[0, 1]])
-        assert span_join(a, b).dim == 2
+        assert a.join(b).dim == 2
 
     def test_join_idempotent(self):
         s = Subspace.from_vectors(3, [[1, 1, 0], [0, 1, 1]])
-        assert span_join(s, s) == s
+        assert s.join(s) == s
 
     def test_join_excludes_outside_vector(self):
-        s = span_join(
-            Subspace.from_vectors(3, [[1, 1, 0]]),
-            Subspace.from_vectors(3, [[1, -1, 0]]),
+        s = Subspace.from_vectors(3, [[1, 1, 0]]).join(
+            Subspace.from_vectors(3, [[1, -1, 0]])
         )
         assert s.dim == 2
         assert not s.contains([0, 0, 1])
 
     def test_join_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            span_join(Subspace.zero(2), Subspace.zero(3))
+            Subspace.zero(2).join(Subspace.zero(3))
 
     def test_contains(self):
         s = Subspace.from_vectors(2, [[1, 0]])

@@ -2,6 +2,7 @@ import pytest
 
 from algdeform.ncpoly import parse_ncpoly
 from algdeform.presentation import (
+    MAX_DEGREE,
     BuildResult,
     DimensionMismatchError,
     NoStabilizationError,
@@ -122,6 +123,11 @@ class TestErrors:
     def test_not_closed_when_cap_blocks_products(self):
         with pytest.raises(NotClosedError):
             build(presentation(XY, ["x*y - y", "y*x - x"], 3, max_degree=2))
+
+    def test_max_degree_is_capped(self):
+        with pytest.raises(ValueError, match="above the cap"):
+            presentation(XY, ACON_RELATIONS, 12, max_degree=MAX_DEGREE + 1)
+        assert presentation(("x",), ["x^40"], 40).max_degree == MAX_DEGREE
 
     def test_wrong_expectation_reported_for_exterior(self):
         with pytest.raises(DimensionMismatchError) as err:
