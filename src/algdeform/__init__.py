@@ -1,7 +1,7 @@
 """algdeform: exact arithmetic for finite-dimensional associative algebras.
 
-Everything runs over the Gaussian rationals with arbitrary-precision
-fractions; there is no floating point anywhere.  The pieces:
+Everything runs over the Gaussian rationals, each an exact int triple
+(p + q*i)/d; there is no floating point anywhere.  The pieces:
 
 ``linalg``
     Exact scalars, dense matrices, rref/kernel, canonical subspaces.

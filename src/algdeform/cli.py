@@ -10,6 +10,7 @@ on stdout with diagnostics kept on stderr.  Exit codes: 0 for success
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,7 @@ class InputError(Exception):
     """File, format, or mathematical-validation problem in the inputs."""
 
 
+@functools.lru_cache(maxsize=None)  # built once: each new parser is cyclic garbage
 def _build_parser() -> _Parser:
     parser = _Parser(prog="algdeform", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,14 +246,14 @@ def _resolve_generators(args, selector: str):
 
 
 def cmd_obstruct(args) -> int:
-    from .obstruction import NotGeneratingError, admissible_targets
+    from .obstruction import admissible_targets
 
     if args.trials < 0:
         raise InputError("--trials must be nonnegative")
     alg, gx, gy = _resolve_generators(args, args.generators)
     try:
         report = admissible_targets(alg, gx, gy, trials=args.trials, seed=args.seed)
-    except NotGeneratingError as err:
+    except ValueError as err:  # NotGeneratingError, or the dimension cap
         raise InputError(str(err)) from err
     document = report.to_json_dict()
     lines = [

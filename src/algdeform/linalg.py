@@ -1,102 +1,127 @@
 """Exact linear algebra over the Gaussian rationals.
 
-Scalars are numbers a + b*i with arbitrary-precision rational a, b; matrices
-are dense and every elimination is exact.  Subspaces are stored through their
-reduced row echelon basis, which makes subspace equality a plain data
-comparison.  Nothing here ever touches floating point.
+Scalars a + b*i are stored as int triples (p + q*i)/d, so an operation is a
+few int products and one gcd; matrices are dense and every elimination is
+exact.  Subspaces are stored through their reduced row echelon basis, which
+makes subspace equality a plain data comparison.  No floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class ScalarSyntaxError(ValueError):
     """Malformed scalar literal."""
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
+def _gaussian(p, q, d):
+    """(p + q*i)/d for ints with d > 0, brought to lowest terms."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = object.__new__(GaussianRational)
+    x._p, x._q, x._d = p, q, d
+    return x
+
+
+def _ratio(x):
+    """``(numerator, denominator)`` of an ``int`` or ``Fraction``."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _lift(x):
+    return GaussianRational(x) if isinstance(x, (int, Fraction)) else NotImplemented
 
 
 class GaussianRational:
     """An exact number a + b*i with rational real and imaginary parts.
 
-    Values are immutable; arithmetic mixes freely with ``int`` and
-    ``Fraction``, and a value with zero imaginary part compares (and hashes)
-    equal to the corresponding plain rational.
+    Stored as the canonical int triple (p + q*i)/d, d > 0, gcd(p, q, d) = 1;
+    ``re`` and ``im`` are ``Fraction``.  Values are immutable; arithmetic
+    mixes freely with ``int`` and ``Fraction``, and a real value (q = 0)
+    compares (and hashes) equal to the corresponding plain rational.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        (a, b), (c, e) = _ratio(re), _ratio(im)
+        p, q, d = a * e, c * b, b * e
+        g = gcd(p, q, d)
+        self._p, self._q, self._d = p // g, q // g, d // g
 
     @staticmethod
     def coerce(x) -> "GaussianRational":
         if isinstance(x, GaussianRational):
             return x
-        return GaussianRational(_as_fraction(x))
+        return GaussianRational(x)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self._p or self._q)
 
     def is_rational(self) -> bool:
-        return not self.im
+        return not self._q
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self._p, -self._q, self._d)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self._p, -self._q, self._d)
 
     def __add__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, (int, Fraction)):
+            other = _lift(other)
+            if other is NotImplemented:
                 return NotImplemented
-            return GaussianRational(self.re + other, self.im)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d, e = self._d, other._d
+        return _gaussian(self._p * e + other._p * d, self._q * e + other._q * d, d * e)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, (int, Fraction)):
+            other = _lift(other)
+            if other is NotImplemented:
                 return NotImplemented
-            return GaussianRational(self.re - other, self.im)
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d, e = self._d, other._d
+        return _gaussian(self._p * e - other._p * d, self._q * e - other._q * d, d * e)
 
     def __rsub__(self, other):
-        if not isinstance(other, (int, Fraction)):
+        other = _lift(other)
+        if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(other - self.re, -self.im)
+        return _gaussian(other._p * self._d - self._p * other._d, -self._q * other._d,
+                         self._d * other._d)
 
     def __mul__(self, other):
         if not isinstance(other, GaussianRational):
-            if not isinstance(other, (int, Fraction)):
+            other = _lift(other)
+            if other is NotImplemented:
                 return NotImplemented
-            return GaussianRational(self.re * other, self.im * other)
-        if not self.im and not other.im:
-            return GaussianRational(self.re * other.re)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        p, q, r, s = self._p, self._q, other._p, other._q
+        if not q and not s:
+            return _gaussian(p * r, 0, self._d * other._d)
+        return _gaussian(p * r - q * s, p * s + q * r, self._d * other._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "GaussianRational":
-        if not self:
+        p, q, d = self._p, self._q, self._d
+        if not p and not q:
             raise ZeroDivisionError("inverse of zero")
-        if not self.im:
-            return GaussianRational(1 / self.re)
-        norm = self.re * self.re + self.im * self.im
-        return GaussianRational(self.re / norm, -self.im / norm)
+        return _gaussian(d * p, -d * q, p * p + q * q)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -120,19 +145,19 @@ class GaussianRational:
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
+            return self._p == other._p and self._q == other._q and self._d == other._d
         if isinstance(other, (int, Fraction)):
-            return not self.im and self.re == other
+            return not self._q and self._p == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
         # must agree with Fraction's hash when the value is plain rational
-        if not self.im:
-            return hash(self.re)
+        if not self._q:
+            return hash(self._p) if self._d == 1 else hash(Fraction(self._p, self._d))
         return hash((self.re, self.im))
 
     def __str__(self):
-        if not self.im:
+        if not self._q:
             return _rat_str(self.re)
         if self.im == 1:
             imag = "i"
@@ -140,9 +165,9 @@ class GaussianRational:
             imag = "-i"
         else:
             imag = f"{_rat_str(self.im)}*i"
-        if not self.re:
+        if not self._p:
             return imag
-        sep = "+" if self.im > 0 else ""
+        sep = "+" if self._q > 0 else ""
         return f"{_rat_str(self.re)}{sep}{imag}"
 
     def __repr__(self):
@@ -160,7 +185,8 @@ ONE = GaussianRational(1)
 I = GaussianRational(0, 1)
 
 
-def _parse_rational(text: str, full: str) -> Fraction:
+def _parse_rational(text: str, full: str, sign: int):
+    """``(numerator, denominator)`` of ``sign`` times an ``a`` or ``a/b`` literal."""
     num, slash, den = text.partition("/")
     if not num.isdigit():
         raise ScalarSyntaxError(f"malformed scalar literal {full!r}")
@@ -169,21 +195,27 @@ def _parse_rational(text: str, full: str) -> Fraction:
             raise ScalarSyntaxError(f"malformed scalar literal {full!r}")
         if int(den) == 0:
             raise ScalarSyntaxError(f"zero denominator in scalar literal {full!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+        return sign * int(num), int(den)
+    return sign * int(num), 1
 
 
 def parse_scalar(text) -> GaussianRational:
     """Parse the exact scalar syntax: ``a/b``, ``a/b+c/d*i``, ``c/d*i``, ``i``.
 
     Integers abbreviate rationals (``3`` means ``3/1``) and whitespace is
-    ignored.  Raises :class:`ScalarSyntaxError` on anything else.
+    ignored; digits are ASCII only.  Raises :class:`ScalarSyntaxError` on
+    anything else.
     """
     if isinstance(text, (int, Fraction)):
         return GaussianRational(text)
-    s = "".join(str(text).split())
+    s = str(text)
+    if s.isascii() and (s[1:] if s[:1] == "-" else s).isdigit():
+        return _gaussian(int(s), 0, 1)
+    s = "".join(s.split())
     if not s:
         raise ScalarSyntaxError("empty scalar literal")
+    if not s.isascii():
+        raise ScalarSyntaxError(f"malformed scalar literal {text!r}")
     terms = []
     start = 0
     for pos in range(1, len(s)):
@@ -210,12 +242,14 @@ def parse_scalar(text) -> GaussianRational:
                 mag = mag[:-1]
             elif mag:
                 raise ScalarSyntaxError(f"malformed scalar literal {text!r}")
-            im_part = sign * (_parse_rational(mag, s) if mag else Fraction(1))
+            im_part = _parse_rational(mag, s, sign) if mag else (sign, 1)
         else:
             if re_part is not None:
                 raise ScalarSyntaxError(f"repeated real part in {text!r}")
-            re_part = sign * _parse_rational(body, s)
-    return GaussianRational(re_part or Fraction(0), im_part or Fraction(0))
+            re_part = _parse_rational(body, s, sign)
+    a, b = re_part or (0, 1)
+    c, e = im_part or (0, 1)
+    return _gaussian(a * e, c * b, b * e)
 
 
 def _coerce_vector(entries):

@@ -108,14 +108,15 @@ class _SpanAccumulator:
 
 def _evaluate_words(alg, args, words):
     """Evaluate monomial words at the arguments, sharing prefix products."""
+    # a loop: a recursive closure is a reference cycle, which would keep every
+    # product alive until the cycle collector runs
     memo = {(): alg.unit_element()}
-
-    def value(word):
-        if word not in memo:
-            memo[word] = value(word[:-1]) * args[word[-1]]
-        return memo[word]
-
-    return {w: value(w) for w in sorted(words, key=word_key)}
+    ordered = sorted(words, key=word_key)
+    for w in ordered:
+        for k in range(1, len(w) + 1):
+            if w[:k] not in memo:
+                memo[w[:k]] = memo[w[:k - 1]] * args[w[k - 1]]
+    return {w: memo[w] for w in ordered}
 
 
 def family_span_dim(alg: StructureAlgebra, fam: WordFamily, args) -> int:
@@ -243,16 +244,18 @@ def admissible_targets(alg: StructureAlgebra, gen_x: Element, gen_y: Element,
     span of the depth-n tower at (gen_x, gen_y) is compared against each
     profile's certified bound: a profile is Excluded when its bound is
     smaller than the span achieved, which for a full span d = n rules out
-    exactly the profiles containing a block of size 3 or larger.
+    exactly the profiles containing a block of size 3 or larger.  A dimension
+    past the enumeration cap raises ``ValueError`` before any product.
     """
     n = alg.dim
+    profiles = enumerate_semisimple_types(n)
     reached = generated_subalgebra_dim(alg, [gen_x, gen_y])
     if reached < n:
         raise NotGeneratingError(reached, n)
     fam = tower_family(n)
     span = family_span_dim(alg, fam, [gen_x, gen_y])
     rows = []
-    for profile in enumerate_semisimple_types(n):
+    for profile in profiles:
         bound = tower_bound(profile)
         sampled = sampled_lower_bound(profile, fam, trials, seed) if trials else None
         status = EXCLUDED if span > bound else NOT_EXCLUDED

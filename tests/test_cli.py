@@ -154,6 +154,19 @@ class TestAnalyze:
         assert lines[0].startswith(f"error: algebra file {path} is not a valid algebra: ")
         assert ", first: associativity fails at basis triple (0, 0, 0)" in lines[0]
 
+    def test_non_ascii_digit_names_the_literal(self, tmp_path):
+        from algdeform.constructions import dual_numbers
+
+        doc = dual_numbers().to_json_dict()
+        doc["table"][1][1][0] = "\u00b2"
+        path = tmp_path / "superscript.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli("analyze", "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.decode("utf-8").splitlines() == [
+            f"error: cannot read algebra {path}: malformed scalar literal '\u00b2'"
+        ]
+
 
 class TestScan:
     def test_dual_family_stable(self):
@@ -270,6 +283,21 @@ class TestObstruct:
         )
         assert proc.returncode == 2
         assert proc.stderr.decode().splitlines() == ["error: --trials must be nonnegative"]
+
+    def test_dimension_above_the_cap_exits_2_before_any_product(self, m2_algebra, monkeypatch, capsys):
+        from algdeform import analysis, cli, obstruction
+
+        def no_work(*args):
+            raise AssertionError("the generated subalgebra was computed")
+
+        monkeypatch.setattr(analysis, "MAX_ENUMERATE_DIM", 3)
+        monkeypatch.setattr(obstruction, "generated_subalgebra_dim", no_work)
+        code = cli.main(["obstruct", "--input", str(m2_algebra),
+                         "--generators", "0,1,1,0;1,0,0,0", "--trials", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: dimension 4 is above the cap of 3"]
 
     def test_non_numeric_coordinates_exit_2(self, m2_algebra):
         proc = run_cli("obstruct", "--input", str(m2_algebra), "--generators", "a,b;c,d")

@@ -1,9 +1,11 @@
-"""Byte-for-byte CLI output on the demo inputs.
+"""Byte-for-byte CLI output on the demo inputs and a Gaussian-coordinate algebra.
 
 Each case's stdout, in text and in JSON, must equal its file under
-``tests/golden/``.  The files were recorded before the structure-table
-multiply was rewritten, so they pin the output of the code it replaced.  A
-change that means to alter the output rewrites them with
+``tests/golden/``.  The demo-input files were recorded before the
+structure-table multiply was rewritten, and the Gaussian-coordinate cases
+before the scalars moved from pairs of Fractions to int triples, so they pin
+the output of the code each change replaced.  A change that means to alter
+the output rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +23,12 @@ from algdeform import cli
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "demos" / "data"
+# M2 on a basis with Gaussian coordinates, so that non-real scalars are printed
+GAUSSIAN = Path(__file__).resolve().parent / "data" / "gaussian_m2.json"
+GAUSSIAN_GENERATORS = (
+    "10/281-32/281*i,-128/281-40/281*i,80/281-256/281*i,20/281-64/281*i;"
+    "-48/281-296/281*i,-60/281+192/281*i,178/281-120/281*i,-96/281-30/281*i"
+)
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # Run in order in one working directory: "build" writes acon.json there for
@@ -33,6 +41,11 @@ CASES = {
     "scan-split": ["scan", "--input", str(DATA / "split_relation_family.json")],
     "enumerate": ["enumerate", "6"],
     "obstruct": ["obstruct", "--input", str(DATA / "contraction_dim12.json"), "--trials", "5"],
+    "analyze-gaussian": ["analyze", "--input", str(GAUSSIAN)],
+    "identity-span-gaussian": ["identity-span", "--input", str(GAUSSIAN), "--m", "1"],
+    "obstruct-gaussian": [
+        "obstruct", "--input", str(GAUSSIAN), "--trials", "5", "--generators", GAUSSIAN_GENERATORS,
+    ],
 }
 FORMATS = ("text", "json")
 

@@ -77,6 +77,13 @@ class TestScalar:
         with pytest.raises(ScalarSyntaxError):
             parse_scalar(bad)
 
+    @pytest.mark.parametrize(
+        "bad", ["\u0663", "\uff11\uff12", "\u00b2", "1/\u00b2", "-\u0663", "1/\u0663", "\u0663*i", "1+\u00b2*i"]
+    )
+    def test_parse_accepts_ascii_digits_only(self, bad):
+        with pytest.raises(ScalarSyntaxError, match="malformed scalar literal"):
+            parse_scalar(bad)
+
     def test_print_parse_roundtrip(self):
         rng = random.Random(11)
         for _ in range(200):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from algdeform.analysis import BlockProfile
@@ -84,6 +86,18 @@ class TestFamilySpanDim:
         # 3x3 matrix algebra never beats 2*3 = 6
         fam = tower_family(9)
         assert sampled_lower_bound(BlockProfile({3: 1}), fam, trials=10, seed=3) <= 6
+
+    def test_evaluation_leaves_no_cyclic_garbage(self):
+        # products freed by reference counting do not wait for the collector
+        m2 = matrix_unit_algebra(2)
+        args = [m2.basis_element(0), m2.element([0, 1, 1, 0])]
+        gc.collect()
+        gc.disable()
+        try:
+            assert family_span_dim(m2, tower_family(4), args) == 4
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_arity_mismatch(self):
         m2 = matrix_unit_algebra(2)
