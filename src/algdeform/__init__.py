@@ -4,7 +4,8 @@ Everything runs over the Gaussian rationals, each an exact int triple
 (p + q*i)/d; there is no floating point anywhere.  The pieces:
 
 ``linalg``
-    Exact scalars, dense matrices, rref/kernel, canonical subspaces.
+    Exact scalars, dense matrices, canonical subspaces, and the sparse
+    echelon kernel that every elimination runs through.
 ``ncpoly``
     Noncommutative polynomials with t-polynomial coefficients, and the
     relation parser.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from .linalg import ONE, ZERO, GaussianRational, Matrix, Subspace, parse_scalar
+from .linalg import ONE, ZERO, GaussianRational, Matrix, Subspace, _Echelon, parse_scalar
 
 
 class NotAnIdealError(ValueError):
@@ -185,7 +185,7 @@ class StructureAlgebra:
         if len(a) != n or len(b) != n:
             raise ValueError("coordinate length does not match algebra dimension")
         product = _product(self._sparse_table(), _support(a), _support(b))
-        return _dense(product, n)
+        return tuple(product.get(l, ZERO) for l in range(n))
 
     def sparse_multiply(self, a: dict, b: dict) -> dict:
         """Product of sparse coordinate dicts {index: scalar}; zero-free output."""
@@ -235,15 +235,7 @@ class StructureAlgebra:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StructureAlgebra":
-        n = int(data["dim"])
-        labels = data.get("labels") or [f"d{i}" for i in range(n)]
-        if len(labels) != n:
-            raise ValueError("label count does not match dim")
-        unit = [parse_scalar(c) for c in data["unit"]]
-        table = [
-            [[parse_scalar(c) for c in vec] for vec in row] for row in data["table"]
-        ]
-        return cls(labels, table, unit)
+        return cls(*_read_table(data, 3))
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -259,17 +251,54 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim {self.dim}: {', '.join(self.labels)})"
 
 
-def _unit_vec(n, i):
-    return tuple(ONE if j == i else ZERO for j in range(n))
+def _json_array(value, field, strings=False):
+    """``value`` if it is a JSON array (of strings, if asked); otherwise a
+    ``ValueError`` that names the field."""
+    if not isinstance(value, list):
+        raise ValueError(f"{field} must be a JSON array, not {json.dumps(value)[:24]}")
+    if strings and not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{field} must be a JSON array of strings")
+    return value
+
+
+def _read_array(value, field, depth, literal):
+    """Nested JSON arrays ``depth`` levels deep, with ``literal`` applied to
+    the leaves."""
+    _json_array(value, field)
+    if depth > 1:
+        return [_read_array(x, f"{field}[{k}]", depth - 1, literal) for k, x in enumerate(value)]
+    try:
+        return [literal(x) for x in value]
+    except TypeError:  # an array or object where a literal belongs
+        raise ValueError(f"{field} must hold scalar literals") from None
+
+
+def _read_table(data, depth):
+    """``(labels, table, unit)`` of a document whose table is ``depth`` arrays
+    deep (3, or 4 for t-coefficient lists).  Each distinct literal is parsed
+    once, and every entry that spells it shares the immutable scalar."""
+    if not isinstance(data, dict):
+        raise ValueError("a table file must hold a JSON object")
+    n = int(data["dim"])
+    labels = data.get("labels")
+    labels = _json_array(labels, "labels") if labels else [f"d{i}" for i in range(n)]
+    if len(labels) != n:
+        raise ValueError("label count does not match dim")
+    scalars = {}
+
+    def literal(text):
+        x = scalars.get(text)
+        if x is None or type(text) is not str:  # 1 == 1.0 == True: share strings only
+            x = scalars[text] = parse_scalar(text)
+        return x
+
+    table = _read_array(data["table"], "table", depth, literal)
+    return labels, table, _read_array(data["unit"], "unit", 1, literal)
 
 
 def _support(vec):
     """The nonzero ``(index, scalar)`` pairs of a coordinate vector."""
     return [(i, GaussianRational.coerce(c)) for i, c in enumerate(vec) if c]
-
-
-def _dense(sparse_vec, n):
-    return tuple(sparse_vec.get(l, ZERO) for l in range(n))
 
 
 def _sparse_entries(table):
@@ -335,25 +364,24 @@ def _axiom_failures(sparse, unit, one):
 def ideal_closure(alg: StructureAlgebra, seed: Subspace) -> Subspace:
     """Smallest two-sided ideal of ``alg`` containing ``seed``.
 
-    Adds left and right basis multiples in the same round, so the fixpoint is
-    reached in at most dim(alg) iterations.
+    A worklist: every row the span gains is multiplied on both sides by each
+    basis element once, and only those products are reduced.
     """
     if seed.ambient_dim != alg.dim:
         raise ValueError("seed ambient dimension does not match algebra dimension")
     n = alg.dim
     sparse = alg._sparse_table()
-    current = seed
-    while True:
-        vectors = list(current.basis)
-        for v in current.basis:
-            terms = _support(v)
-            for i in range(n):
-                vectors.append(_dense(_combine((c, sparse[i][l]) for l, c in terms), n))
-                vectors.append(_dense(_combine((c, sparse[l][i]) for l, c in terms), n))
-        grown = Subspace.from_vectors(n, vectors)
-        if grown.dim == current.dim:
-            return grown
-        current = grown
+    span = _Echelon()
+    todo = [span.add(dict(_support(v))) for v in seed.basis]
+    while todo and len(span.rows) < n:
+        terms = todo.pop().items()
+        for i in range(n):
+            for product in (_combine((c, sparse[i][l]) for l, c in terms),
+                            _combine((c, sparse[l][i]) for l, c in terms)):
+                row = span.add(product)
+                if row is not None:
+                    todo.append(row)
+    return Subspace(n, *span.dense(n))
 
 
 def quotient(alg: StructureAlgebra, ideal: Subspace):
@@ -367,25 +395,19 @@ def quotient(alg: StructureAlgebra, ideal: Subspace):
         raise ValueError("ideal ambient dimension does not match algebra dimension")
     if ideal_closure(alg, ideal) != ideal:
         raise NotAnIdealError("subspace is not a two-sided ideal")
-    if ideal.dim and ideal.contains(alg.unit):
+    span = _Echelon.of(ideal)
+    if ideal.dim and not span.reduce(dict(_support(alg.unit))):
         raise UnitInIdealError("ideal contains the unit; quotient would be the zero ring")
     n = alg.dim
-    pivot_set = set(ideal.pivots)
-    comp = [c for c in range(n) if c not in pivot_set]
+    comp = [c for c in range(n) if c not in span.rows]
 
     def project(vec):
-        residue = list(vec)
-        for row, p in zip(ideal.basis, ideal.pivots):
-            if residue[p]:
-                factor = residue[p]
-                residue = [a - factor * b for a, b in zip(residue, row)]
-        return tuple(residue[c] for c in comp)
+        residue = span.reduce(vec)
+        return tuple(residue.get(c, ZERO) for c in comp)
 
+    sparse = alg._sparse_table()
     labels = [alg.labels[c] for c in comp]
-    table = [
-        [project(alg.table[a][b]) for b in comp]
-        for a in comp
-    ]
-    unit = project(alg.unit)
-    proj = Matrix([project(_unit_vec(n, j))[r] for j in range(n)] for r in range(len(comp)))
+    table = [[project(dict(sparse[a][b])) for b in comp] for a in comp]
+    unit = project(dict(_support(alg.unit)))
+    proj = Matrix(zip(*(project({j: ONE}) for j in range(n))))
     return StructureAlgebra(labels, table, unit), proj

@@ -317,18 +317,16 @@ def enumerate_semisimple_types(n: int, max_block=None):
     if n > MAX_ENUMERATE_DIM:
         raise ValueError(f"dimension {n} is above the cap of {MAX_ENUMERATE_DIM}")
     cap = isqrt(n) if max_block is None else min(int(max_block), isqrt(n))
+    # an explicit stack of (remaining, largest part allowed, parts so far):
+    # a recursive closure would be a reference cycle
     found = []
-
-    def descend(remaining, max_part, acc):
+    stack = [(n, cap, ())]
+    while stack:
+        remaining, max_part, parts = stack.pop()
         if remaining == 0:
-            found.append(tuple(acc))
-            return
-        for j in range(min(max_part, isqrt(remaining)), 0, -1):
-            acc.append(j)
-            descend(remaining - j * j, j, acc)
-            acc.pop()
-
-    descend(n, cap, [])
+            found.append(parts)
+        for j in range(1, min(max_part, isqrt(remaining)) + 1):
+            stack.append((remaining - j * j, j, parts + (j,)))
     found.sort()
     profiles = []
     for parts in found:

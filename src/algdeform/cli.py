@@ -92,17 +92,22 @@ def _emit(args, document: dict, text_lines):
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _load_presentation(path: Path, max_degree=None):
-    from .presentation import Presentation
+def _build(path: Path, max_degree=None):
+    """Read a presentation file and build its algebra."""
+    from .presentation import Presentation, PresentationError, build
 
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if max_degree is not None:
             data["max_degree"] = max_degree
-        return Presentation.from_json_dict(data)
+        pres = Presentation.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise InputError(f"cannot read presentation {path}: {err}") from err
+    try:
+        return build(pres)
+    except PresentationError as err:
+        raise InputError(f"build failed: {type(err).__name__}: {err}") from err
 
 
 def _load_algebra(path: Path) -> StructureAlgebra:
@@ -117,13 +122,7 @@ def _load_algebra(path: Path) -> StructureAlgebra:
 
 
 def cmd_build(args) -> int:
-    from .presentation import PresentationError, build
-
-    pres = _load_presentation(args.input, args.max_degree)
-    try:
-        result = build(pres)
-    except PresentationError as err:
-        raise InputError(f"build failed: {type(err).__name__}: {err}") from err
+    result = _build(args.input, args.max_degree)
     out_path = args.out or args.input.with_suffix(".algebra.json")
     result.algebra.save(out_path)
     basis = [lbl for lbl in result.algebra.labels]
@@ -223,13 +222,7 @@ def _resolve_generators(args, selector: str):
     if len(names) != 2:
         raise InputError("need exactly two generator names, e.g. --generators x,y")
     if "generators" in data:
-        from .presentation import PresentationError, build
-
-        pres = _load_presentation(path, args.max_degree)
-        try:
-            result = build(pres)
-        except PresentationError as err:
-            raise InputError(f"build failed: {type(err).__name__}: {err}") from err
+        result = _build(path, args.max_degree)
         try:
             gx = result.generator_element(names[0])
             gy = result.generator_element(names[1])

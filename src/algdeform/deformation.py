@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import json
 
-from .algebra import StructureAlgebra, ValidationReport, _axiom_failures, _sparse_entries
+from .algebra import StructureAlgebra, ValidationReport, _axiom_failures, _read_table, _sparse_entries
 from .analysis import block_profile, radical
 from .linalg import ONE, ZERO, GaussianRational, parse_scalar
-from .ncpoly import TPOLY_ONE, NcPoly, TPoly, parse_ncpoly
-from .presentation import BuildResult, Presentation, PresentationError, build
+from .ncpoly import TPOLY_ONE, NcPoly, TPoly
+from .presentation import BuildResult, Presentation, PresentationError, _read_presentation, build
 
 
 class FamilyValidationError(ValueError):
@@ -96,9 +96,6 @@ class DeformationFamily:
         ]
         return StructureAlgebra(self.labels, table, self.unit)
 
-    def base_algebra(self) -> StructureAlgebra:
-        return self.specialize(0)
-
     def to_json_dict(self) -> dict:
         return {
             "kind": "table",
@@ -113,16 +110,8 @@ class DeformationFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeformationFamily":
-        n = int(data["dim"])
-        labels = data.get("labels") or [f"d{i}" for i in range(n)]
-        unit = [parse_scalar(c) for c in data["unit"]]
-        table = [
-            [
-                [TPoly([parse_scalar(c) for c in entry]) for entry in vec]
-                for vec in row
-            ]
-            for row in data["table"]
-        ]
+        labels, table, unit = _read_table(data, 4)
+        table = [[[TPoly(entry) for entry in vec] for vec in row] for row in table]
         return cls(labels, table, unit)
 
 
@@ -194,9 +183,7 @@ class SampledFamily:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SampledFamily":
-        gens = tuple(data["generators"])
-        rels = [parse_ncpoly(src, gens) for src in data["relations"]]
-        return cls(gens, rels, data["expected_dim"], data.get("max_degree"))
+        return cls(*_read_presentation(data))
 
 
 def load_family(path):

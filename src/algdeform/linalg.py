@@ -1,9 +1,12 @@
 """Exact linear algebra over the Gaussian rationals.
 
 Scalars a + b*i are stored as int triples (p + q*i)/d, so an operation is a
-few int products and one gcd; matrices are dense and every elimination is
-exact.  Subspaces are stored through their reduced row echelon basis, which
-makes subspace equality a plain data comparison.  No floating point.
+few int products and one gcd.  Matrices are dense, but every elimination,
+from rref and kernels to ideal closures and presentation builds, runs through
+one exact kernel: an incremental echelon basis of sparse ``{key: scalar}``
+rows that visits only nonzero entries.  Subspaces are stored through their
+dense reduced row echelon basis, which makes subspace equality a plain data
+comparison.  No floating point.
 """
 
 from __future__ import annotations
@@ -237,12 +240,10 @@ def parse_scalar(text) -> GaussianRational:
         if body.endswith("i"):
             if im_part is not None:
                 raise ScalarSyntaxError(f"repeated imaginary part in {text!r}")
-            mag = body[:-1]
-            if mag.endswith("*"):
-                mag = mag[:-1]
-            elif mag:
+            mag = body[:-1]  # empty, or a magnitude and then a star: ``c*i``
+            if mag and (len(mag) == 1 or mag[-1] != "*"):
                 raise ScalarSyntaxError(f"malformed scalar literal {text!r}")
-            im_part = _parse_rational(mag, s, sign) if mag else (sign, 1)
+            im_part = _parse_rational(mag[:-1], s, sign) if mag else (sign, 1)
         else:
             if re_part is not None:
                 raise ScalarSyntaxError(f"repeated real part in {text!r}")
@@ -279,30 +280,27 @@ class Matrix:
     def zero(cls, nrows, ncols) -> "Matrix":
         return cls([[0] * ncols for _ in range(nrows)])
 
-    def rref(self):
-        """Reduced row echelon form.  Returns ``(matrix, pivot_columns)``."""
+    def _reduced(self):
         if self._rref is None:
             self._rref = _rref_rows(self.rows, self.ncols)
-        rows, pivots = self._rref
+        return self._rref
+
+    def rref(self):
+        """Reduced row echelon form.  Returns ``(matrix, pivot_columns)``."""
+        rows, pivots = self._reduced()
         return Matrix(rows), pivots
 
     @property
     def rank(self) -> int:
-        if self._rref is None:
-            self._rref = _rref_rows(self.rows, self.ncols)
-        return len(self._rref[1])
+        return len(self._reduced()[1])
 
     def kernel(self) -> "Subspace":
         """Right kernel, i.e. all v with M·v = 0."""
-        if self._rref is None:
-            self._rref = _rref_rows(self.rows, self.ncols)
-        rows, pivots = self._rref
+        rows, pivots = self._reduced()
         pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
         vectors = []
-        for f in free:
-            v = [ZERO] * self.ncols
-            v[f] = ONE
+        for f in (c for c in range(self.ncols) if c not in pivot_set):
+            v = [ONE if c == f else ZERO for c in range(self.ncols)]
             for r, p in enumerate(pivots):
                 v[p] = -rows[r][f]
             vectors.append(v)
@@ -359,28 +357,87 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
+def _axpy(out, f, row):
+    """out -= f * row on sparse dicts, dropping the entries that cancel."""
+    for k, c in row.items():
+        v = out.get(k)
+        if v is None:
+            out[k] = -(f * c)
+        else:
+            v = v - f * c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+
+
+class _Echelon:
+    """Incremental reduced echelon basis of sparse ``{key: scalar}`` rows.
+
+    Keys may be of any totally ordered type; ``lead`` picks a row's pivot key
+    (the smallest by default).  The basis is kept fully reduced: each row
+    has a 1 at its pivot and 0 at every other pivot, so reducing a vector is
+    one pass over the pivots it touches, in any order.  ``rows`` maps each
+    pivot to its row without the pivot entry.
+    """
+
+    __slots__ = ("rows", "_lead")
+
+    def __init__(self, lead=min):
+        self.rows = {}
+        self._lead = lead
+
+    def reduce(self, vec):
+        """The one vector congruent to ``vec`` with no entry at a pivot key."""
+        rows = self.rows
+        out = {k: c for k, c in vec.items() if c}
+        for p in [k for k in out if k in rows]:
+            _axpy(out, out.pop(p), rows[p])
+        return out
+
+    def add(self, vec):
+        """Add ``vec``; its new row with the pivot's 1, or ``None`` if dependent."""
+        tail = self.reduce(vec)
+        if not tail:
+            return None
+        p = self._lead(tail)
+        inv = tail.pop(p).inverse()
+        if inv != 1:
+            tail = {k: c * inv for k, c in tail.items()}
+        for row in self.rows.values():
+            f = row.pop(p, None)
+            if f is not None:
+                _axpy(row, f, tail)
+        self.rows[p] = tail
+        return {p: ONE, **tail}
+
+    def dense(self, ncols):
+        """Rows over keys ``0 .. ncols-1`` as dense tuples, and the pivots."""
+        pivots = tuple(sorted(self.rows))
+        return tuple(
+            tuple(ONE if k == p else self.rows[p].get(k, ZERO) for k in range(ncols))
+            for p in pivots
+        ), pivots
+
+    @classmethod
+    def of(cls, subspace):
+        """The kernel form of a subspace's rref basis."""
+        ech = cls()
+        for row, p in zip(subspace.basis, subspace.pivots):
+            ech.rows[p] = {k: c for k, c in enumerate(row) if c and k != p}
+        return ech
+
+
 def _rref_rows(rows, ncols):
-    work = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        work[r], work[pivot_row] = work[pivot_row], work[r]
-        inv = work[r][c].inverse()
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c]:
-                factor = work[i][c]
-                work[i] = [a - factor * b for a, b in zip(work[i], work[r])]
-        pivots.append(c)
-        r += 1
-    return tuple(tuple(row) for row in work), tuple(pivots)
+    """Reduced row echelon form of dense rows: the rank rows in pivot order,
+    then zero rows up to ``len(rows)``, and the pivot columns."""
+    ech = _Echelon()
+    rows = list(rows)
+    for r in rows:
+        if len(ech.rows) < ncols:  # past full rank every row reduces to zero
+            ech.add({k: c for k, c in enumerate(r) if c})
+    reduced, pivots = ech.dense(ncols)
+    return reduced + ((ZERO,) * ncols,) * (len(rows) - len(pivots)), pivots
 
 
 class Subspace:
@@ -418,12 +475,7 @@ class Subspace:
         vec = _coerce_vector(vec)
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        residue = list(vec)
-        for row, p in zip(self.basis, self.pivots):
-            if residue[p]:
-                factor = residue[p]
-                residue = [a - factor * b for a, b in zip(residue, row)]
-        return not any(residue)
+        return not _Echelon.of(self).reduce(dict(enumerate(vec)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
         return all(self.contains(v) for v in other.basis)

@@ -338,9 +338,9 @@ def _tokenize(src: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII digits only, as in scalar literals
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and "0" <= src[j] <= "9":
                 j += 1
             tokens.append(("num", int(src[i:j]), i))
             i = j

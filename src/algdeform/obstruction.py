@@ -19,7 +19,7 @@ import random
 from .algebra import Element, StructureAlgebra
 from .analysis import BlockProfile, enumerate_semisimple_types
 from .constructions import from_profile
-from .linalg import GaussianRational, Subspace
+from .linalg import GaussianRational, _Echelon
 from .ncpoly import NcPoly, TPOLY_ONE, word_key
 
 
@@ -81,31 +81,6 @@ def tower_bound(profile: BlockProfile) -> int:
     return sum(c * min(2 * j, j * j) for j, c in profile.counts.items())
 
 
-class _SpanAccumulator:
-    """Incremental exact rank of a growing set of coordinate vectors."""
-
-    def __init__(self, ambient):
-        self.ambient = ambient
-        self.rows = {}  # pivot index -> reduced row
-
-    def add(self, coords):
-        vec = list(coords)
-        for p, row in self.rows.items():
-            if vec[p]:
-                factor = vec[p]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        for p, c in enumerate(vec):
-            if c:
-                inv = c.inverse()
-                self.rows[p] = [x * inv for x in vec]
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.rows)
-
-
 def _evaluate_words(alg, args, words):
     """Evaluate monomial words at the arguments, sharing prefix products."""
     # a loop: a recursive closure is a reference cycle, which would keep every
@@ -128,33 +103,38 @@ def family_span_dim(alg: StructureAlgebra, fam: WordFamily, args) -> int:
     for poly in fam.words:
         monomials.update(poly.terms)
     values = _evaluate_words(alg, args, monomials)
-    span = _SpanAccumulator(alg.dim)
+    span = _Echelon()
     for poly in fam.words:
         total = alg.zero_element()
         for w, c in poly.terms.items():
             total = total + values[w] * c.constant_value()
-        span.add(total.coords)
-        if span.rank == alg.dim:
+        span.add(dict(enumerate(total.coords)))
+        if len(span.rows) == alg.dim:
             break
-    return span.rank
+    return len(span.rows)
 
 
 def generated_subalgebra_dim(alg: StructureAlgebra, elements) -> int:
-    """Dimension of the unital subalgebra generated by the given elements."""
-    current = Subspace.from_vectors(
-        alg.dim, [alg.unit] + [el.coords for el in elements]
-    )
-    while True:
-        vectors = list(current.basis)
-        for a in current.basis:
-            for b in current.basis:
-                vectors.append(alg.multiply_coords(a, b))
-        grown = Subspace.from_vectors(alg.dim, vectors)
-        if grown.dim == current.dim:
-            return grown.dim
-        if grown.dim == alg.dim:
-            return alg.dim
-        current = grown
+    """Dimension of the unital subalgebra generated by the given elements.
+
+    A worklist over the rows the span gains: each is multiplied on both
+    sides by itself and by every row gained before it, once.
+    """
+    span = _Echelon()
+    gained = []
+    for coords in [alg.unit] + [el.coords for el in elements]:
+        row = span.add(dict(enumerate(coords)))
+        if row is not None:
+            gained.append(row)
+    for k, a in enumerate(gained):  # the loop reaches rows appended as it runs
+        if len(span.rows) == alg.dim:
+            break
+        for b in gained[:k + 1]:
+            for product in (alg.sparse_multiply(a, b), alg.sparse_multiply(b, a)):
+                row = span.add(product)
+                if row is not None:
+                    gained.append(row)
+    return len(span.rows)
 
 
 def sampled_lower_bound(profile: BlockProfile, fam: WordFamily, trials: int = 50,

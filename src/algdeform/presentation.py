@@ -18,9 +18,9 @@ validated (associativity and unit law) before it is returned.
 
 from __future__ import annotations
 
-from .algebra import Element, StructureAlgebra
-from .linalg import ONE, ZERO
-from .ncpoly import NcPoly, word_key, word_to_str
+from .algebra import Element, StructureAlgebra, _combine, _json_array
+from .linalg import ONE, ZERO, _Echelon
+from .ncpoly import NcPoly, parse_ncpoly, word_key, word_to_str
 
 
 class PresentationError(Exception):
@@ -102,11 +102,16 @@ class Presentation:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Presentation":
-        from .ncpoly import parse_ncpoly
+        return cls(*_read_presentation(data))
 
-        gens = tuple(data["generators"])
-        rels = [parse_ncpoly(src, gens) for src in data["relations"]]
-        return cls(gens, rels, data["expected_dim"], data.get("max_degree"))
+
+def _read_presentation(data):
+    """Generators, parsed relations, expected dim and max degree of a
+    presentation document; generators and relations are arrays of strings."""
+    gens = tuple(_json_array(data["generators"], "generators", strings=True))
+    sources = _json_array(data["relations"], "relations", strings=True)
+    rels = [parse_ncpoly(src, gens) for src in sources]
+    return gens, rels, data["expected_dim"], data.get("max_degree")
 
 
 class BuildResult:
@@ -175,42 +180,16 @@ def build(p: Presentation) -> BuildResult:
             ]
         return words_cache[length]
 
-    pivots = {}
-
-    def canonical_reduce(vec):
-        vec = {w: c for w, c in vec.items() if c}
-        while True:
-            lead = None
-            lead_key = None
-            for w in vec:
-                if w in pivots:
-                    k = word_key(w)
-                    if lead is None or k > lead_key:
-                        lead, lead_key = w, k
-            if lead is None:
-                return vec
-            coeff = vec.pop(lead)
-            for w2, c2 in pivots[lead].items():
-                nv = vec.get(w2, ZERO) - coeff * c2
-                if nv:
-                    vec[w2] = nv
-                elif w2 in vec:
-                    del vec[w2]
-
-    def insert_row(vec):
-        vec = canonical_reduce(vec)
-        if not vec:
-            return
-        lead = max(vec, key=word_key)
-        inv = vec.pop(lead).inverse()
-        pivots[lead] = {w: c * inv for w, c in vec.items()}
+    # word-keyed rows, each led by its deglex-largest word
+    span = _Echelon(lead=lambda vec: max(vec, key=word_key))
+    pivots = span.rows
 
     def closure_rows(basis):
         basis_set = set(basis)
         rows = {}
         for w in basis:
             for letter in range(g):
-                red = canonical_reduce({w + (letter,): ONE})
+                red = span.reduce({w + (letter,): ONE})
                 if any(w2 not in basis_set for w2 in red):
                     return None
                 rows[(w, letter)] = red
@@ -218,7 +197,7 @@ def build(p: Presentation) -> BuildResult:
 
     for deg_r, terms in rel_terms:
         if deg_r == 0:
-            insert_row(dict(terms))
+            span.add(dict(terms))
     prev_rank = len(pivots)
     prev_dim_found = None
     words_upto = 1
@@ -232,7 +211,7 @@ def build(p: Presentation) -> BuildResult:
             for left_len in range(spare + 1):
                 for u in words_of(left_len):
                     for v in words_of(spare - left_len):
-                        insert_row({u + w + v: c for w, c in terms})
+                        span.add({u + w + v: c for w, c in terms})
         short_pivots = sum(1 for w in pivots if len(w) < degree)
         dim_found = words_upto - short_pivots
         if short_pivots != prev_rank:
@@ -284,37 +263,19 @@ def _construct(p: Presentation, basis, closure_rows, degree) -> BuildResult:
     if () not in index:
         raise NotClosedError("the empty word collapsed into the ideal")
 
-    def to_coords(vec):
-        out = [ZERO] * m
-        for w, c in vec.items():
-            out[index[w]] = c
-        return out
-
-    right_by_letter = [
-        [to_coords(closure_rows[(w, letter)]) for w in basis] for letter in range(g)
+    # right multiplication by each letter, as sparse rows over basis indices
+    right = [
+        [tuple((index[w2], c) for w2, c in closure_rows[(w, letter)].items()) for w in basis]
+        for letter in range(g)
     ]
-
-    def apply_letter(coords, letter):
-        rows = right_by_letter[letter]
-        out = [ZERO] * m
-        for b, cb in enumerate(coords):
-            if not cb:
-                continue
-            row = rows[b]
-            for l in range(m):
-                if row[l]:
-                    out[l] = out[l] + cb * row[l]
-        return out
-
     table = []
     for i in range(m):
-        start = [ONE if b == i else ZERO for b in range(m)]
         row = []
-        for j, wj in enumerate(basis):
-            coords = start
+        for wj in basis:
+            vec = {i: ONE}
             for letter in wj:
-                coords = apply_letter(coords, letter)
-            row.append(tuple(coords))
+                vec = _combine((c, right[letter][b]) for b, c in vec.items())
+            row.append(tuple(vec.get(l, ZERO) for l in range(m)))
         table.append(row)
     unit = tuple(ONE if b == index[()] else ZERO for b in range(m))
     labels = [word_to_str(w, gens) for w in basis]
@@ -325,6 +286,7 @@ def _construct(p: Presentation, basis, closure_rows, degree) -> BuildResult:
             "truncated reductions produced an inconsistent product table; raise max_degree"
         )
     letters = [
-        algebra.element(to_coords(closure_rows[((), letter)])) for letter in range(g)
+        algebra.element([closure_rows[((), letter)].get(w, ZERO) for w in basis])
+        for letter in range(g)
     ]
     return BuildResult(algebra, tuple(basis), degree, gens, letters)

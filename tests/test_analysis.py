@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import random
@@ -370,6 +371,16 @@ class TestEnumeration:
             BlockProfile({2: 3}),
             BlockProfile({3: 1, 1: 3}),
         ]
+
+    def test_enumeration_leaves_no_cyclic_garbage(self):
+        # the search runs on an explicit stack, not a self-referencing closure
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(enumerate_semisimple_types(40)) == 55
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_max_block_cap(self):
         profiles = enumerate_semisimple_types(12, max_block=2)

@@ -242,6 +242,52 @@ class TestScan:
         assert b"Traceback" not in proc.stderr
 
 
+DUAL_TABLE = [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]
+DUAL_FAMILY = json.loads((DATA / "dual_number_family.json").read_text())
+
+
+class TestMisshapenInput:
+    """A string or object where an array belongs is refused, never split into
+    characters; the one error line names the field."""
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            ("analyze", {"dim": 2, "unit": "10", "table": [["10", "00"], ["00", "01"]]},
+             'cannot read algebra {path}: table[0][0] must be a JSON array, not "10"'),
+            ("analyze", {"dim": 2, "unit": "10", "table": DUAL_TABLE},
+             'cannot read algebra {path}: unit must be a JSON array, not "10"'),
+            ("analyze", {"dim": 2, "labels": "1x", "unit": ["1", "0"], "table": DUAL_TABLE},
+             'cannot read algebra {path}: labels must be a JSON array, not "1x"'),
+            ("analyze", {"dim": 2, "unit": ["1", "0"], "table": {"0": DUAL_TABLE}},
+             'cannot read algebra {path}: table must be a JSON array, not {{"0": [[["1", "0"], ["0"'),
+            ("analyze", {"dim": 2, "unit": ["1", "0"],
+                         "table": [[["1", ["0"]], ["0", "1"]], [["0", "1"], ["0", "0"]]]},
+             "cannot read algebra {path}: table[0][0] must hold scalar literals"),
+            ("scan", {**DUAL_FAMILY, "table": [DUAL_FAMILY["table"][0], [[["0"], ["1"]], [["0", "1"], "10"]]]},
+             'cannot read family {path}: table[1][1][1] must be a JSON array, not "10"'),
+            ("scan", {"kind": "relations", "generators": "x", "relations": ["x^2 - t"],
+                      "expected_dim": 2},
+             'cannot read family {path}: generators must be a JSON array, not "x"'),
+            ("build", {"generators": "xy", "relations": ["x^2", "y^2", "x*y + y*x"],
+                       "expected_dim": 4},
+             'cannot read presentation {path}: generators must be a JSON array, not "xy"'),
+            ("build", {"generators": ["x"], "relations": "x^2", "expected_dim": 2},
+             'cannot read presentation {path}: relations must be a JSON array, not "x^2"'),
+            ("build", {"generators": ["x", 1], "relations": ["x^2"], "expected_dim": 2},
+             "cannot read presentation {path}: generators must be a JSON array of strings"),
+            ("build", {"generators": ["x"], "relations": ["x^\u00b2"], "expected_dim": 2},
+             "cannot read presentation {path}: unexpected character '\u00b2' (at position 2)"),
+        ],
+    )
+    def test_exits_2_with_one_line_naming_the_field(self, tmp_path, command, doc, message):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        proc = run_cli(command, "--input", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.decode("utf-8").splitlines() == ["error: " + message.format(path=path)]
+
+
 class TestObstruct:
     def test_contraction_algebra_targets(self):
         proc = run_cli(

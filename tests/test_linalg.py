@@ -72,7 +72,9 @@ class TestScalar:
         assert parse_scalar(" 1 / 2 ") == Fraction(1, 2)
         assert parse_scalar("0") == 0
 
-    @pytest.mark.parametrize("bad", ["", "x", "1/0", "1+2", "i+i", "1.5", "3i", "--2"])
+    @pytest.mark.parametrize(
+        "bad", ["", "x", "1/0", "1+2", "i+i", "1.5", "3i", "--2", "*i", "-*i", "1+*i", "1-*i", "**i"]
+    )
     def test_parse_rejects(self, bad):
         with pytest.raises(ScalarSyntaxError):
             parse_scalar(bad)
