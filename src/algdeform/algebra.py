@@ -8,8 +8,10 @@ bases where no single basis element is the identity.
 
 Every product goes through one sparse contraction of that tensor,
 :func:`_combine`, which sums scalar multiples of table entries while walking
-only their nonzero coordinates.  It needs nothing of its scalars but ``*``,
-``+`` and truth, so t-polynomial deformation tables share it.
+only their nonzero coordinates.  Validation, :func:`_axiom_failures`, takes
+one basis pair (i, j) at a time and builds both sides of associativity for
+every k as one sparse vector.  Both need nothing of their scalars but ``*``,
+``+``, ``==`` and truth, so t-polynomial deformation tables share them.
 """
 
 from __future__ import annotations
@@ -214,10 +216,10 @@ class StructureAlgebra:
         """Check associativity on every basis triple and the unit law on every
         basis element.
 
-        Each side of (e_i e_j) e_k = e_i (e_j e_k) is one contraction of the
-        sparse table, so the cost is the number of nonzero products
-        c_ij^l·c_lk^m and c_jk^l·c_il^m over all triples, not 2n³ products
-        with dense unit vectors.
+        For each basis pair (i, j), both sides of (e_i e_j) e_k =
+        e_i (e_j e_k) are built for all k at once as one sparse vector, so
+        the cost is the number of nonzero products c_ij^l·c_lk^m and
+        c_jk^l·c_il^m, with no per-triple work where both sides vanish.
         """
         return ValidationReport(*_axiom_failures(self._sparse_table(), self.unit, ONE))
 
@@ -239,8 +241,7 @@ class StructureAlgebra:
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+            fh.write(_dumps(self.to_json_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "StructureAlgebra":
@@ -251,6 +252,21 @@ class StructureAlgebra:
         return f"StructureAlgebra(dim {self.dim}: {', '.join(self.labels)})"
 
 
+def _dumps(value, indent=""):
+    """``json.dumps(value, indent=2)``, byte for byte.  That call runs the
+    pure-Python encoder, a nest of closures left as cyclic garbage; here only
+    the leaves and keys go through ``json.dumps``, which encodes them in C."""
+    inner = indent + "  "
+    if isinstance(value, dict):
+        lines = [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_dumps(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(lines) + f"\n{indent}}}" if lines else "{}"
+    if isinstance(value, (list, tuple)):
+        lines = [inner + _dumps(v, inner) for v in value]
+        return "[\n" + ",\n".join(lines) + f"\n{indent}]" if lines else "[]"
+    return json.dumps(value)
+
+
 def _json_array(value, field, strings=False):
     """``value`` if it is a JSON array (of strings, if asked); otherwise a
     ``ValueError`` that names the field."""
@@ -258,6 +274,22 @@ def _json_array(value, field, strings=False):
         raise ValueError(f"{field} must be a JSON array, not {json.dumps(value)[:24]}")
     if strings and not all(isinstance(x, str) for x in value):
         raise ValueError(f"{field} must be a JSON array of strings")
+    return value
+
+
+def _field(data, key):
+    """``data[key]``, or a ``ValueError`` that names the missing field."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f'missing field "{key}"') from None
+
+
+def _json_int(value, field):
+    """``value`` if it is a JSON integer (``true``, ``"1"`` and ``1.7`` are
+    not); otherwise a ``ValueError`` that names the field."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, not {json.dumps(value)[:24]}")
     return value
 
 
@@ -279,7 +311,7 @@ def _read_table(data, depth):
     once, and every entry that spells it shares the immutable scalar."""
     if not isinstance(data, dict):
         raise ValueError("a table file must hold a JSON object")
-    n = int(data["dim"])
+    n = _json_int(_field(data, "dim"), "dim")
     labels = data.get("labels")
     labels = _json_array(labels, "labels") if labels else [f"d{i}" for i in range(n)]
     if len(labels) != n:
@@ -292,8 +324,8 @@ def _read_table(data, depth):
             x = scalars[text] = parse_scalar(text)
         return x
 
-    table = _read_array(data["table"], "table", depth, literal)
-    return labels, table, _read_array(data["unit"], "unit", 1, literal)
+    table = _read_array(_field(data, "table"), "table", depth, literal)
+    return labels, table, _read_array(_field(data, "unit"), "unit", 1, literal)
 
 
 def _support(vec):
@@ -335,21 +367,42 @@ def _product(sparse, a, b):
 def _axiom_failures(sparse, unit, one):
     """Failing associativity triples and unit-law indices of a sparse table.
 
-    (e_i e_j) e_k = Σ_l c_ij^l T[l][k] is compared with
-    e_i (e_j e_k) = Σ_l c_jk^l T[i][l] for all (i, j, k) in lexicographic
-    order, then u·e_j and e_j·u with e_j for each j.  ``unit`` holds scalars
-    of the table's type and ``one`` is that type's 1.
+    One basis pair (i, j) at a time, both sides of (e_i e_j) e_k =
+    e_i (e_j e_k) are formed for every k at once, as one sparse vector keyed
+    k·n + m: the left side is Σ_l c_ij^l times the flattened nonzero entries
+    of row l, the right side Σ_l c_jk^l times the entries of row i.  Only
+    when the two differ are the failing k listed, in ascending order; the
+    unit law is checked after, as u·e_j and e_j·u against e_j for each j.
+    ``unit`` holds scalars of the table's type and ``one`` is that type's 1;
+    whether each constant equals it is decided once, not per product.
     """
     n = len(sparse)
+    flagged = [[[(m, c, c == one) for m, c in entry] for entry in row] for row in sparse]
+    flat = [[(k * n + m, c, c1) for k, entry in enumerate(row) for m, c, c1 in entry]
+            for row in flagged]
     assoc = []
-    for i, row_i in enumerate(sparse):
+    for i, row_i in enumerate(flagged):
         for j, c_ij in enumerate(row_i):
-            row_j = sparse[j]
-            for k in range(n):
-                left = _combine((c, sparse[l][k]) for l, c in c_ij)
-                right = _combine((c, row_i[l]) for l, c in row_j[k])
-                if left != right:
-                    assoc.append((i, j, k))
+            left = {}
+            for l, a, a1 in c_ij:
+                for key, c, c1 in flat[l]:
+                    term = a if c1 else c if a1 else a * c
+                    prev = left.get(key)
+                    left[key] = term if prev is None else prev + term
+            right = {}
+            for k, c_jk in enumerate(flagged[j]):
+                for l, a, a1 in c_jk:
+                    for m, c, c1 in row_i[l]:
+                        key = k * n + m
+                        term = a if c1 else c if a1 else a * c
+                        prev = right.get(key)
+                        right[key] = term if prev is None else prev + term
+            left = {key: v for key, v in left.items() if v}
+            right = {key: v for key, v in right.items() if v}
+            if left != right:
+                bad = {key // n for key in left.keys() | right.keys()
+                       if left.get(key) != right.get(key)}
+                assoc.extend((i, j, k) for k in sorted(bad))
     unit = [(l, u) for l, u in enumerate(unit) if u]
     failures = []
     for j in range(n):

@@ -14,7 +14,7 @@ rationals; ranks and span dimensions agree with those over the closure.
 from __future__ import annotations
 
 import itertools
-from math import isqrt
+from math import comb, isqrt
 
 from .algebra import Element, StructureAlgebra, ideal_closure, quotient
 from .linalg import ONE, ZERO, Matrix, Subspace
@@ -92,6 +92,12 @@ def standard_identity_values(alg: StructureAlgebra, m: int):
     n = alg.dim
     if k > n:
         return []
+    work = comb(n, k) << k
+    if work > MAX_IDENTITY_WORK:
+        raise ValueError(
+            f"standard identity of degree {k} on dim {n} takes {work} subset products, "
+            f"above the cap of {MAX_IDENTITY_WORK}"
+        )
     values = []
     for combo in itertools.combinations(range(n), k):
         elems = [{i: ONE} for i in combo]
@@ -303,6 +309,11 @@ def block_profile(alg: StructureAlgebra, rad: Subspace = None):
 # Largest dimension whose block profiles are enumerated.  Their number grows
 # faster than any polynomial: 6521 at n = 150, 94987 at n = 250.
 MAX_ENUMERATE_DIM = 144
+
+# Most subset products, C(n, 2m)·2^(2m), that ``standard_identity_values``
+# takes on.  C(14, 6)·2^6 = 192192 ran in 0.75 s on M3⊕M2⊕M1; C(28, 14)·2^14
+# would be about 7·10^11.
+MAX_IDENTITY_WORK = 250_000
 
 
 def enumerate_semisimple_types(n: int, max_block=None):

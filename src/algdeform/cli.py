@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .algebra import StructureAlgebra
+from .algebra import StructureAlgebra, _dumps
 from .analysis import block_profile, enumerate_semisimple_types, identity_ideal, identity_span, radical
 from .linalg import parse_scalar
 
@@ -87,7 +87,7 @@ def _build_parser() -> _Parser:
 
 def _emit(args, document: dict, text_lines):
     if args.format == "json":
-        sys.stdout.write(json.dumps(document, indent=2) + "\n")
+        sys.stdout.write(_dumps(document) + "\n")
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
@@ -279,8 +279,11 @@ def cmd_identity_span(args) -> int:
     alg = _load_algebra(args.input)
     if args.m < 0:
         raise InputError("m must be nonnegative")
-    span = identity_span(alg, args.m)
-    ideal = identity_ideal(alg, args.m)
+    try:
+        span = identity_span(alg, args.m)
+        ideal = identity_ideal(alg, args.m)
+    except ValueError as err:  # the work cap
+        raise InputError(str(err)) from err
     document = {
         "dim": alg.dim,
         "m": args.m,

@@ -18,7 +18,7 @@ validated (associativity and unit law) before it is returned.
 
 from __future__ import annotations
 
-from .algebra import Element, StructureAlgebra, _combine, _json_array
+from .algebra import Element, StructureAlgebra, _combine, _field, _json_array, _json_int
 from .linalg import ONE, ZERO, _Echelon
 from .ncpoly import NcPoly, parse_ncpoly, word_key, word_to_str
 
@@ -107,11 +107,15 @@ class Presentation:
 
 def _read_presentation(data):
     """Generators, parsed relations, expected dim and max degree of a
-    presentation document; generators and relations are arrays of strings."""
-    gens = tuple(_json_array(data["generators"], "generators", strings=True))
-    sources = _json_array(data["relations"], "relations", strings=True)
+    presentation document; generators and relations are arrays of strings,
+    the dimension and degree JSON integers."""
+    gens = tuple(_json_array(_field(data, "generators"), "generators", strings=True))
+    sources = _json_array(_field(data, "relations"), "relations", strings=True)
     rels = [parse_ncpoly(src, gens) for src in sources]
-    return gens, rels, data["expected_dim"], data.get("max_degree")
+    max_degree = data.get("max_degree")
+    if max_degree is not None:
+        _json_int(max_degree, "max_degree")
+    return gens, rels, _json_int(_field(data, "expected_dim"), "expected_dim"), max_degree
 
 
 class BuildResult:

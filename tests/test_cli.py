@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -278,6 +279,29 @@ class TestMisshapenInput:
              "cannot read presentation {path}: generators must be a JSON array of strings"),
             ("build", {"generators": ["x"], "relations": ["x^\u00b2"], "expected_dim": 2},
              "cannot read presentation {path}: unexpected character '\u00b2' (at position 2)"),
+            # dimensions and degrees are JSON integers: never a bool, string or float
+            ("analyze", {"dim": True, "unit": ["1"], "table": [[["1"]]]},
+             "cannot read algebra {path}: dim must be a JSON integer, not true"),
+            ("analyze", {"dim": "1", "unit": ["1"], "table": [[["1"]]]},
+             'cannot read algebra {path}: dim must be a JSON integer, not "1"'),
+            ("analyze", {"dim": 1.7, "unit": ["1"], "table": [[["1"]]]},
+             "cannot read algebra {path}: dim must be a JSON integer, not 1.7"),
+            ("analyze", {"dim": 2, "unit": ["1", "0"]},
+             'cannot read algebra {path}: missing field "table"'),
+            ("scan", {**DUAL_FAMILY, "dim": "2"},
+             'cannot read family {path}: dim must be a JSON integer, not "2"'),
+            ("scan", {"kind": "relations", "generators": ["x"], "relations": ["x^2 - t"],
+                      "expected_dim": True},
+             "cannot read family {path}: expected_dim must be a JSON integer, not true"),
+            ("build", {"generators": ["x"], "relations": ["x^2"], "expected_dim": 2.9},
+             "cannot read presentation {path}: expected_dim must be a JSON integer, not 2.9"),
+            ("build", {"generators": ["x"], "relations": ["x^2"], "expected_dim": "2"},
+             'cannot read presentation {path}: expected_dim must be a JSON integer, not "2"'),
+            ("build", {"generators": ["x"], "relations": ["x^2"], "expected_dim": 2,
+                       "max_degree": 3.5},
+             "cannot read presentation {path}: max_degree must be a JSON integer, not 3.5"),
+            ("build", {"generators": ["x"], "relations": ["x^2"]},
+             'cannot read presentation {path}: missing field "expected_dim"'),
         ],
     )
     def test_exits_2_with_one_line_naming_the_field(self, tmp_path, command, doc, message):
@@ -389,6 +413,55 @@ class TestIdentitySpan:
     def test_m2_vanishing(self, m2_algebra):
         proc = run_cli("identity-span", "--input", str(m2_algebra), "--m", "2")
         assert b"span dim: 0" in proc.stdout
+
+    def test_work_above_the_cap_exits_2_before_any_product(self, m2_algebra, monkeypatch, capsys):
+        from algdeform import analysis, cli
+
+        def no_work(*args):
+            raise AssertionError("a subset product was evaluated")
+
+        monkeypatch.setattr(analysis, "MAX_IDENTITY_WORK", 23)
+        monkeypatch.setattr(analysis.StructureAlgebra, "sparse_multiply", no_work)
+        code = cli.main(["identity-span", "--input", str(m2_algebra), "--m", "1"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            "error: standard identity of degree 2 on dim 4 takes 24 subset products, "
+            "above the cap of 23"
+        ]
+
+
+class TestNoCyclicGarbage:
+    """A JSON-format call leaves nothing for the cycle collector: objects are
+    freed by reference counting as soon as they are dropped."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "--input", str(DATA / "contraction_dim12.json"), "--out", "{tmp}/alg.json"],
+            ["analyze", "--input", "{m2}"],
+            ["scan", "--input", str(DATA / "dual_number_family.json"), "--count", "3"],
+            ["scan", "--input", str(DATA / "split_relation_family.json"), "--count", "2"],
+            ["obstruct", "--input", "{m2}", "--generators", "0,1,1,0;1,0,0,0", "--trials", "2"],
+            ["enumerate", "12"],
+            ["identity-span", "--input", "{m2}", "--m", "1"],
+        ],
+    )
+    def test_json_call_leaves_no_cyclic_garbage(self, argv, m2_algebra, tmp_path, capsys):
+        from algdeform import cli
+
+        argv = [a.format(tmp=tmp_path, m2=m2_algebra) for a in argv] + ["--format", "json"]
+        assert cli.main(argv) == 0  # first use: lazy imports and caches
+        gc.collect()
+        gc.disable()
+        try:
+            assert cli.main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        first, second = capsys.readouterr().out.split("\n}\n", 1)
+        assert second == first + "\n}\n"
 
 
 class TestUsageAndDeterminism:

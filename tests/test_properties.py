@@ -22,6 +22,11 @@ CORPUS = (
     upper_triangular_algebra(2),
     direct_sum(dual_numbers(), from_block_sizes((1,))),
 )
+# dim 6, for the validation strategies only (basis invariance takes longer)
+LARGER = (
+    direct_sum(from_block_sizes((2,)), dual_numbers()),
+    upper_triangular_algebra(3),
+)
 
 
 @st.composite
@@ -133,12 +138,15 @@ def assert_same_report(report, reference):
 scalars = st.builds(GaussianRational, st.integers(-2, 2), st.integers(-1, 1))
 sparse_scalars = st.one_of(st.just(ZERO), st.just(ZERO), st.just(ONE), scalars)
 tpolys = st.lists(st.integers(-2, 2), max_size=3).map(TPoly)
+cancelling_tpolys = st.sampled_from(
+    [TPoly(), TPoly([1]), TPoly([-1]), TPoly([0, 1]), TPoly([0, -1]), TPoly([1, 1])]
+)
 
 
 @st.composite
 def random_tables(draw):
     """An arbitrary table and unit: almost never an algebra."""
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     entries = draw(st.lists(sparse_scalars, min_size=n ** 3, max_size=n ** 3))
     table = [[entries[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)] for i in range(n)]
     unit = draw(st.lists(sparse_scalars, min_size=n, max_size=n))
@@ -147,8 +155,9 @@ def random_tables(draw):
 
 @st.composite
 def gaussian_scrambles(draw):
-    """A corpus algebra on a random basis with Gaussian-integer coordinates."""
-    alg = draw(st.sampled_from(CORPUS))
+    """A corpus algebra, up to dim 6, on a random basis with Gaussian-integer
+    coordinates."""
+    alg = draw(st.sampled_from(CORPUS + LARGER))
     n = alg.dim
     entries = draw(st.lists(scalars, min_size=n * n, max_size=n * n))
     p = Matrix([entries[r * n:(r + 1) * n] for r in range(n)])
@@ -158,17 +167,23 @@ def gaussian_scrambles(draw):
 
 @st.composite
 def broken_scrambles(draw):
-    """A scrambled algebra with one structure constant or the unit moved."""
-    alg = draw(gaussian_scrambles())
+    """An algebra, scrambled or on its own basis, with one structure constant
+    or the unit moved, or with two constants of one entry moved by ±delta,
+    so that their effects cancel in the coordinates where rows l and l'
+    agree."""
+    alg = draw(st.one_of(gaussian_scrambles(), st.sampled_from(CORPUS + LARGER)))
     n = alg.dim
     delta = draw(scalars.filter(bool))
     table = [[list(vec) for vec in row] for row in alg.table]
     unit = list(alg.unit)
-    if draw(st.booleans()):
+    move = draw(st.sampled_from(("one", "two", "unit")))
+    if move == "unit":
+        unit[draw(st.integers(0, n - 1))] += delta
+    else:
         i, j, l = (draw(st.integers(0, n - 1)) for _ in range(3))
         table[i][j][l] += delta
-    else:
-        unit[draw(st.integers(0, n - 1))] += delta
+        if move == "two":
+            table[i][j][draw(st.integers(0, n - 1))] -= delta
     return StructureAlgebra(alg.labels, table, unit)
 
 
@@ -181,17 +196,20 @@ def test_validate_matches_the_dense_reference(alg):
 @st.composite
 def families(draw):
     """Constant families of corpus algebras with one entry moved by a
-    t-polynomial (sometimes zero), or arbitrary t-polynomial tables."""
+    t-polynomial (sometimes zero, sometimes minus the entry), or arbitrary
+    t-polynomial tables, some drawn from a few polynomials and their
+    negatives so that their products often sum to zero."""
     if draw(st.booleans()):
-        fam = constant_family(draw(st.sampled_from(CORPUS + (dual_numbers(),))))
+        fam = constant_family(draw(st.sampled_from(CORPUS + LARGER + (dual_numbers(),))))
         n = fam.dim
         table = [[list(vec) for vec in row] for row in fam.table]
         i, j, l = (draw(st.integers(0, n - 1)) for _ in range(3))
-        table[i][j][l] = table[i][j][l] + draw(tpolys)
+        table[i][j][l] = table[i][j][l] + draw(st.one_of(tpolys, st.just(-table[i][j][l])))
         unit = fam.unit
     else:
         n = draw(st.integers(1, 3))
-        entries = draw(st.lists(tpolys, min_size=n ** 3, max_size=n ** 3))
+        entry = draw(st.sampled_from((tpolys, cancelling_tpolys)))
+        entries = draw(st.lists(entry, min_size=n ** 3, max_size=n ** 3))
         table = [[entries[(i * n + j) * n:(i * n + j + 1) * n] for j in range(n)]
                  for i in range(n)]
         unit = draw(st.lists(sparse_scalars, min_size=n, max_size=n))
