@@ -10,8 +10,12 @@ Every product goes through one sparse contraction of that tensor,
 :func:`_combine`, which sums scalar multiples of table entries while walking
 only their nonzero coordinates.  Validation, :func:`_axiom_failures`, takes
 one basis pair (i, j) at a time and builds both sides of associativity for
-every k as one sparse vector.  Both need nothing of their scalars but ``*``,
-``+``, ``==`` and truth, so t-polynomial deformation tables share them.
+every k as one sparse vector.  The trace vector and trace form,
+:func:`_trace_vector` and :func:`_trace_form`, sum over the same sparse
+entries.  All of these need nothing of their scalars but ``*``, ``+``,
+``==`` and truth, so t-polynomial deformation tables share them; the
+radical, the centre constants and the standard-identity products of
+``analysis`` go through them too.
 """
 
 from __future__ import annotations
@@ -204,10 +208,7 @@ class StructureAlgebra:
     def trace_vector(self):
         """trace(L_{d_i}) for each basis index i; linear data for the Gram form."""
         if self._trace_vector is None:
-            n = self.dim
-            self._trace_vector = tuple(
-                sum((self.table[i][j][j] for j in range(n)), ZERO) for i in range(n)
-            )
+            self._trace_vector = _trace_vector(self._sparse_table(), ZERO)
         return self._trace_vector
 
     # -- validation -----------------------------------------------------------
@@ -364,6 +365,26 @@ def _product(sparse, a, b):
     return _combine((ai * bj, sparse[i][j]) for i, ai in a for j, bj in b)
 
 
+def _trace_vector(sparse, zero):
+    """trace(L_{d_i}) = Σ_j c_ij^j for each row i of a sparse table; ``zero``
+    is the zero of its scalars (``ZERO``, or ``TPoly()`` for a family)."""
+    return tuple(
+        sum((c for j, entry in enumerate(row) for l, c in entry if l == j), zero)
+        for row in sparse
+    )
+
+
+def _trace_form(sparse, tau, zero):
+    """Rows of the trace form G[i][j] = trace(L_{d_i} L_{d_j}) = Σ_l c_ij^l·tau_l
+    of a sparse table, given its trace vector ``tau``; only the entries
+    where tau is nonzero are multiplied."""
+    weight = {l: t for l, t in enumerate(tau) if t}
+    return [
+        [sum((c * weight[l] for l, c in entry if l in weight), zero) for entry in row]
+        for row in sparse
+    ]
+
+
 def _axiom_failures(sparse, unit, one):
     """Failing associativity triples and unit-law indices of a sparse table.
 
@@ -448,6 +469,12 @@ def quotient(alg: StructureAlgebra, ideal: Subspace):
         raise ValueError("ideal ambient dimension does not match algebra dimension")
     if ideal_closure(alg, ideal) != ideal:
         raise NotAnIdealError("subspace is not a two-sided ideal")
+    return _project(alg, ideal)
+
+
+def _project(alg: StructureAlgebra, ideal: Subspace):
+    """:func:`quotient` by a subspace already known to be a two-sided ideal,
+    such as the radical that :func:`analysis.radical` has certified."""
     span = _Echelon.of(ideal)
     if ideal.dim and not span.reduce(dict(_support(alg.unit))):
         raise UnitInIdealError("ideal contains the unit; quotient would be the zero ring")

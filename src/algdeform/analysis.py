@@ -9,6 +9,10 @@ identity-ideal filtration dimensions then follow from Amitsur-Levitzki.
 The standard-identity spans and ideals themselves are still available, at
 exponential cost in the degree.  Everything is computed over the Gaussian
 rationals; ranks and span dimensions agree with those over the closure.
+
+The trace form, the structure constants of the centre and the
+standard-identity products go through the sparse table and its one
+contraction, ``algebra._combine``, rather than the dense tensor.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import comb, isqrt
 
-from .algebra import Element, StructureAlgebra, ideal_closure, quotient
+from .algebra import Element, StructureAlgebra, _combine, _project, _support, _trace_form, ideal_closure
 from .linalg import ONE, ZERO, Matrix, Subspace
 
 
@@ -34,19 +38,7 @@ class NonIntegralLayerError(RuntimeError):
 
 def gram_matrix(alg: StructureAlgebra) -> Matrix:
     """Trace form G[i][j] = trace(L_i L_j) of the left regular representation."""
-    n = alg.dim
-    tau = alg.trace_vector()
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for l, c in enumerate(alg.table[i][j]):
-                if c and tau[l]:
-                    acc = acc + c * tau[l]
-            row.append(acc)
-        rows.append(row)
-    return Matrix(rows)
+    return Matrix(_trace_form(alg._sparse_table(), alg.trace_vector(), ZERO))
 
 
 def radical(alg: StructureAlgebra) -> Subspace:
@@ -98,14 +90,16 @@ def standard_identity_values(alg: StructureAlgebra, m: int):
             f"standard identity of degree {k} on dim {n} takes {work} subset products, "
             f"above the cap of {MAX_IDENTITY_WORK}"
         )
+    sparse = alg._sparse_table()
     values = []
     for combo in itertools.combinations(range(n), k):
-        elems = [{i: ONE} for i in combo]
-        table = {1 << p: elems[p] for p in range(k)}
+        rows = [sparse[i] for i in combo]
+        table = {1 << p: {i: ONE} for p, i in enumerate(combo)}
         for mask in range(1, 1 << k):
             if mask & (mask - 1) == 0:
                 continue
-            acc = {}
+            # S(T) = Σ_p ±d_p·S(T∖p), the sign alternating along T's bits
+            terms = []
             position = 0
             rest_bits = mask
             while rest_bits:
@@ -113,18 +107,11 @@ def standard_identity_values(alg: StructureAlgebra, m: int):
                 rest_bits ^= bit
                 sub = table[mask ^ bit]
                 if sub:
-                    p = bit.bit_length() - 1
-                    term = alg.sparse_multiply(elems[p], sub)
+                    row = rows[bit.bit_length() - 1]
                     negate = position % 2
-                    for l, v in term.items():
-                        prev = acc.get(l)
-                        v = -v if negate else v
-                        if prev is None:
-                            acc[l] = v
-                        else:
-                            acc[l] = prev + v
+                    terms.extend((-v if negate else v, row[l]) for l, v in sub.items())
                 position += 1
-            table[mask] = {l: v for l, v in acc.items() if v}
+            table[mask] = _combine(terms)
         top = table[(1 << k) - 1]
         values.append(
             Element(alg, [top.get(i, ZERO) for i in range(n)])
@@ -235,13 +222,25 @@ def centre(alg: StructureAlgebra) -> Subspace:
     return Matrix(list(rows)).kernel()
 
 
+def _centre_constants(alg: StructureAlgebra, z: Subspace):
+    """Structure constants gamma[a][b][e] of the centre ``z`` on its rref
+    basis: z_a z_b lies in Z, so its coordinates at the pivots are gamma[a][b]."""
+    basis = [dict(_support(za)) for za in z.basis]
+    return [
+        [[product.get(p, ZERO) for p in z.pivots]
+         for product in (alg.sparse_multiply(za, zb) for zb in basis)]
+        for za in basis
+    ]
+
+
 def block_profile(alg: StructureAlgebra, rad: Subspace = None):
     """Wedderburn block profile over the algebraic closure.
 
     Non-semisimple input is first replaced by its quotient S modulo the
-    radical; pass ``rad`` when the caller has already computed it.  The
-    profile is read off the centre Z of S, whose dimension B is the number
-    of blocks.  On the basis z_1..z_B of Z take the Gram matrices
+    radical; pass ``rad`` when the caller has already computed
+    ``radical(alg)``.  That call certifies it as an ideal, so it is
+    projected out without being closed again.  The profile is read off the
+    centre Z of S, whose dimension B is the number of blocks.  On the basis z_1..z_B of Z take the Gram matrices
     G[a][b] = trace of z_a z_b on S and H[a][b] = trace of z_a z_b on Z.  In
     the block idempotents e_b they are diag(j_b^2) and the identity, so the
     number of j-blocks is B - rank(G - j^2 H); no roots or inverses are
@@ -252,28 +251,11 @@ def block_profile(alg: StructureAlgebra, rad: Subspace = None):
     """
     if rad is None:
         rad = radical(alg)
-    ss = alg if rad.dim == 0 else quotient(alg, rad)[0]
+    ss = alg if rad.dim == 0 else _project(alg, rad)[0]
     n = ss.dim
     z = centre(ss)
     blocks = z.dim
-    # Structure constants gamma[a][b][e] of Z.  A product z_a z_b lies in Z,
-    # whose rref basis puts its coordinates at the pivots, so only the pivot
-    # entries of z_a d_j and of z_a z_b are computed.
-    table = ss.table
-    left = [
-        [
-            [sum((za[i] * table[i][j][p] for i in range(n) if za[i]), ZERO) for p in z.pivots]
-            for j in range(n)
-        ]
-        for za in z.basis
-    ]
-    gamma = [
-        [
-            [sum((zb[j] * row[j][e] for j in range(n) if zb[j]), ZERO) for e in range(blocks)]
-            for zb in z.basis
-        ]
-        for row in left
-    ]
+    gamma = _centre_constants(ss, z)
     tau = ss.trace_vector()
     on_s = [sum((za[l] * tau[l] for l in range(n) if za[l]), ZERO) for za in z.basis]
     on_z = [sum((gamma[e][c][c] for c in range(blocks)), ZERO) for e in range(blocks)]

@@ -12,30 +12,19 @@ from .linalg import ONE, ZERO
 
 def matrix_unit_algebra(k: int) -> StructureAlgebra:
     """Full k-by-k matrix algebra on the matrix-unit basis e_rc."""
-    if k < 1:
-        raise ValueError("matrix size must be at least 1")
-    pairs = [(r, c) for r in range(1, k + 1) for c in range(1, k + 1)]
-    index = {rc: i for i, rc in enumerate(pairs)}
-    n = len(pairs)
-    labels = [f"e{r}{c}" for r, c in pairs]
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c:
-                vec = [ZERO] * n
-                vec[index[(a, d)]] = ONE
-                table[i][j] = vec
-    unit = [ZERO] * n
-    for r in range(1, k + 1):
-        unit[index[(r, r)]] = ONE
-    return StructureAlgebra(labels, table, unit)
+    return _matrix_units(k, [(r, c) for r in range(1, k + 1) for c in range(1, k + 1)])
 
 
 def upper_triangular_algebra(k: int) -> StructureAlgebra:
     """Upper-triangular k-by-k matrices on the basis e_rc with r <= c."""
+    return _matrix_units(k, [(r, c) for r in range(1, k + 1) for c in range(r, k + 1)])
+
+
+def _matrix_units(k, pairs):
+    """The k-by-k matrix units e_rc for the index ``pairs`` (r, c), which
+    must hold every (r, r) and be closed under e_ab·e_bd = e_ad."""
     if k < 1:
         raise ValueError("matrix size must be at least 1")
-    pairs = [(r, c) for r in range(1, k + 1) for c in range(r, k + 1)]
     index = {rc: i for i, rc in enumerate(pairs)}
     n = len(pairs)
     labels = [f"e{r}{c}" for r, c in pairs]
@@ -43,9 +32,7 @@ def upper_triangular_algebra(k: int) -> StructureAlgebra:
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if b == c:
-                vec = [ZERO] * n
-                vec[index[(a, d)]] = ONE
-                table[i][j] = vec
+                table[i][j][index[(a, d)]] = ONE
     unit = [ZERO] * n
     for r in range(1, k + 1):
         unit[index[(r, r)]] = ONE

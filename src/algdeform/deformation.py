@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 
-from .algebra import StructureAlgebra, ValidationReport, _axiom_failures, _read_table, _sparse_entries
+from .algebra import (StructureAlgebra, ValidationReport, _axiom_failures, _read_table,
+                      _sparse_entries, _trace_form, _trace_vector)
 from .analysis import block_profile, radical
 from .linalg import ONE, ZERO, GaussianRational, parse_scalar
 from .ncpoly import TPOLY_ONE, NcPoly, TPoly
@@ -143,7 +144,8 @@ class SampledFamily:
 
     There is no symbolic quotient over the polynomial ring; each sample value
     substitutes t and rebuilds the algebra from scratch.  The template must
-    build to its expected dimension at t = 0.
+    build to its expected dimension at t = 0; the :class:`Presentation` it
+    builds there checks ``expected_dim`` and ``max_degree``.
     """
 
     __slots__ = ("generators", "relations", "expected_dim", "max_degree")
@@ -154,7 +156,7 @@ class SampledFamily:
         for r in self.relations:
             if not isinstance(r, NcPoly) or r.gens != self.generators:
                 raise ValueError("relations must be NcPoly over the declared generators")
-        self.expected_dim = int(expected_dim)
+        self.expected_dim = expected_dim
         self.max_degree = max_degree
         self.build_at(0)  # the base of the family must exist
 
@@ -391,22 +393,8 @@ def trace_form_determinant(family: DeformationFamily) -> TPoly:
     nonzero at s, so the roots mark the exceptional parameter values.
     """
     n = family.dim
-    tau = []
-    for l in range(n):
-        acc = TPoly()
-        for j in range(n):
-            acc = acc + family.table[l][j][j]
-        tau.append(acc)
-    gram = [
-        [
-            sum(
-                (family.table[i][j][l] * tau[l] for l in range(n) if family.table[i][j][l]),
-                TPoly(),
-            )
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
+    sparse = _sparse_entries(family.table)
+    gram = _trace_form(sparse, _trace_vector(sparse, TPoly()), TPoly())
     # determinant by Laplace expansion memoized over column subsets
     minors = {0: TPoly.const(1)}
     for used in range(1, (1 << n)):

@@ -165,7 +165,6 @@ def sampled_lower_bound(profile: BlockProfile, fam: WordFamily, trials: int = 50
 
 EXCLUDED = "Excluded"
 NOT_EXCLUDED = "NotExcluded"
-UNKNOWN = "Unknown"
 
 
 class TargetRow:
@@ -243,28 +242,6 @@ def admissible_targets(alg: StructureAlgebra, gen_x: Element, gen_y: Element,
     return ObstructionReport(
         fam.printed_words(),
         (gen_x.coords, gen_y.coords),
-        span,
-        rows,
-    )
-
-
-def custom_family_targets(alg: StructureAlgebra, fam: WordFamily, args,
-                          trials: int = 50, seed: int = 0) -> ObstructionReport:
-    """Target rows for an arbitrary word family: no certified bound exists,
-    so every row carries a sampled lower bound and status Unknown."""
-    span = family_span_dim(alg, fam, args)
-    rows = [
-        TargetRow(
-            profile,
-            None,
-            sampled_lower_bound(profile, fam, trials, seed),
-            UNKNOWN,
-        )
-        for profile in enumerate_semisimple_types(alg.dim)
-    ]
-    return ObstructionReport(
-        fam.printed_words(),
-        tuple(a.coords for a in args),
         span,
         rows,
     )

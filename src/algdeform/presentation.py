@@ -58,11 +58,16 @@ class Presentation:
     relation degree plus two, which is ample for presentations whose quotient
     basis words are no longer than the relations themselves.  A given value
     may not exceed :data:`MAX_DEGREE`, and the default is cut down to it.
+    Both numbers must be ``int`` (not bool, str or float), as in the file
+    format.
     """
 
     __slots__ = ("generators", "relations", "expected_dim", "max_degree")
 
     def __init__(self, generators, relations, expected_dim, max_degree=None):
+        if max_degree is not None:
+            _json_int(max_degree, "max_degree")
+        self.expected_dim = _json_int(expected_dim, "expected_dim")
         self.generators = tuple(generators)
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
@@ -80,13 +85,12 @@ class Presentation:
                 raise ValueError("presentation relations must be constant in t")
             rels.append(r)
         self.relations = tuple(rels)
-        self.expected_dim = int(expected_dim)
         if self.expected_dim < 1:
             raise ValueError("expected_dim must be at least 1")
         if max_degree is None:
             longest = max((r.degree for r in rels), default=1)
             max_degree = min(2 * longest + 2, MAX_DEGREE)
-        self.max_degree = int(max_degree)
+        self.max_degree = max_degree
         if self.max_degree < 1:
             raise ValueError("max_degree must be at least 1")
         if self.max_degree > MAX_DEGREE:
@@ -107,15 +111,12 @@ class Presentation:
 
 def _read_presentation(data):
     """Generators, parsed relations, expected dim and max degree of a
-    presentation document; generators and relations are arrays of strings,
-    the dimension and degree JSON integers."""
+    presentation document; generators and relations are arrays of strings.
+    The constructors check that the dimension and degree are integers."""
     gens = tuple(_json_array(_field(data, "generators"), "generators", strings=True))
     sources = _json_array(_field(data, "relations"), "relations", strings=True)
     rels = [parse_ncpoly(src, gens) for src in sources]
-    max_degree = data.get("max_degree")
-    if max_degree is not None:
-        _json_int(max_degree, "max_degree")
-    return gens, rels, _json_int(_field(data, "expected_dim"), "expected_dim"), max_degree
+    return gens, rels, _field(data, "expected_dim"), data.get("max_degree")
 
 
 class BuildResult:

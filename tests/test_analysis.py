@@ -352,6 +352,28 @@ class TestProfileFromCentre:
             block_profile(bad)
 
 
+class TestOneClosure:
+    def test_analyze_closes_the_radical_once(self, tmp_path, monkeypatch, capsys):
+        # radical() certifies the trace-form kernel as an ideal; block_profile
+        # projects it out without closing it again
+        from algdeform import algebra, analysis, cli
+
+        closed = []
+        original = algebra.ideal_closure
+
+        def counting(alg, seed):
+            closed.append(seed.dim)
+            return original(alg, seed)
+
+        monkeypatch.setattr(algebra, "ideal_closure", counting)
+        monkeypatch.setattr(analysis, "ideal_closure", counting)
+        path = tmp_path / "ut3_dual.json"
+        direct_sum(upper_triangular_algebra(3), dual_numbers()).save(path)
+        assert cli.main(["analyze", "--input", str(path), "--format", "json"]) == 0
+        assert '"radical_dim": 4' in capsys.readouterr().out
+        assert closed == [4]
+
+
 class TestEnumeration:
     def test_dimension_one(self):
         assert enumerate_semisimple_types(1) == [BlockProfile({1: 1})]

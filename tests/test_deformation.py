@@ -159,6 +159,18 @@ class TestSampledFamily:
         with pytest.raises(Exception):
             SampledFamily(gens, [parse_ncpoly("x^2 - t", gens)], expected_dim=3)
 
+    @pytest.mark.parametrize("value", [2.9, True, "2"])
+    def test_expected_dim_must_be_an_int(self, value):
+        gens = ("x",)
+        with pytest.raises(ValueError, match="expected_dim must be a JSON integer"):
+            SampledFamily(gens, [parse_ncpoly("x^2 - t", gens)], expected_dim=value)
+
+    @pytest.mark.parametrize("value", [2.9, True, "2"])
+    def test_max_degree_must_be_an_int(self, value):
+        gens = ("x",)
+        with pytest.raises(ValueError, match="max_degree must be a JSON integer"):
+            SampledFamily(gens, [parse_ncpoly("x^2 - t", gens)], 2, max_degree=value)
+
     def test_scan_splits(self):
         result = scan(self.family(), Fraction(1, 4), 6)
         assert result.verdict.kind == STABLE

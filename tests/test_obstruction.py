@@ -11,11 +11,9 @@ from algdeform.constructions import (
 from algdeform.ncpoly import NcPoly, parse_ncpoly
 from algdeform.obstruction import (
     NOT_EXCLUDED,
-    UNKNOWN,
     NotGeneratingError,
     WordFamily,
     admissible_targets,
-    custom_family_targets,
     family_span_dim,
     generated_subalgebra_dim,
     sampled_lower_bound,
@@ -253,15 +251,6 @@ class TestSampledLowerBound:
             BlockProfile({2: 1, 1: 4}),
         ):
             assert sampled_lower_bound(profile, fam, 10, 0) <= tower_bound(profile)
-
-
-class TestCustomFamily:
-    def test_unknown_status_without_certificate(self):
-        dn = dual_numbers()
-        fam = WordFamily(("x",), [NcPoly.one(("x",)), NcPoly.generator(("x",), 0)])
-        report = custom_family_targets(dn, fam, [dn.basis_element(1)], trials=3)
-        assert all(r.status == UNKNOWN for r in report.rows)
-        assert all(r.bound is None for r in report.rows)
 
 
 class TestGeneration:

@@ -152,6 +152,17 @@ class TestErrors:
             presentation(XY, ["x^2 - t"], 2)
 
 
+    @pytest.mark.parametrize("value", [2.9, True, "2"])
+    def test_expected_dim_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="expected_dim must be a JSON integer"):
+            presentation(("x",), ["x^2"], value)
+
+    @pytest.mark.parametrize("value", [2.9, True, "2"])
+    def test_max_degree_must_be_an_int(self, value):
+        with pytest.raises(ValueError, match="max_degree must be a JSON integer"):
+            presentation(("x",), ["x^2"], 2, max_degree=value)
+
+
 class TestJson:
     def test_roundtrip_preserves_build(self):
         pres = presentation(XY, ACON_RELATIONS, 12)

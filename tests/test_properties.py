@@ -1,9 +1,18 @@
 """Property tests: invariants that must hold on every input of a family."""
 
+import itertools
+
 from hypothesis import assume, given, settings, strategies as st
 
-from algdeform.algebra import StructureAlgebra
-from algdeform.analysis import block_profile, radical
+from algdeform.algebra import StructureAlgebra, _sparse_entries, _trace_form, _trace_vector, quotient
+from algdeform.analysis import (
+    _centre_constants,
+    block_profile,
+    centre,
+    gram_matrix,
+    radical,
+    standard_identity_values,
+)
 from algdeform.constructions import (
     change_basis,
     direct_sum,
@@ -11,7 +20,12 @@ from algdeform.constructions import (
     from_block_sizes,
     upper_triangular_algebra,
 )
-from algdeform.deformation import DeformationFamily, constant_family, dual_number_family
+from algdeform.deformation import (
+    DeformationFamily,
+    constant_family,
+    dual_number_family,
+    trace_form_determinant,
+)
 from algdeform.linalg import ONE, ZERO, GaussianRational, Matrix
 from algdeform.ncpoly import TPoly
 
@@ -226,3 +240,166 @@ def test_family_reference_accepts_the_dual_number_family():
     fam = dual_number_family()
     assert dense_family_validate(fam) == ((), ())
     assert_same_report(fam.validate(), dense_family_validate(fam))
+
+
+# -- the analysis contractions against the dense loops they replaced --------
+#
+# The functions below are the loops that the trace form, the centre
+# constants of ``block_profile`` and the standard identity values ran before
+# each became sums over the sparse table: dense walks of ``table[i][j][l]``
+# for the first two, one ``sparse_multiply`` per subset bit for the last.
+# Each is kept as the oracle of its replacement.
+
+
+def dense_trace_vector(alg):
+    n = alg.dim
+    return tuple(sum((alg.table[i][j][j] for j in range(n)), ZERO) for i in range(n))
+
+
+def dense_gram_matrix(alg):
+    n = alg.dim
+    tau = dense_trace_vector(alg)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ZERO
+            for l, c in enumerate(alg.table[i][j]):
+                if c and tau[l]:
+                    acc = acc + c * tau[l]
+            row.append(acc)
+        rows.append(row)
+    return Matrix(rows)
+
+
+def dense_family_gram(family):
+    """The t-polynomial Gram matrix that ``trace_form_determinant`` expanded."""
+    n = family.dim
+    tau = []
+    for l in range(n):
+        acc = TPoly()
+        for j in range(n):
+            acc = acc + family.table[l][j][j]
+        tau.append(acc)
+    return [
+        [
+            sum(
+                (family.table[i][j][l] * tau[l] for l in range(n) if family.table[i][j][l]),
+                TPoly(),
+            )
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def leibniz_determinant(rows):
+    """Σ over permutations of sign·Π rows[i][perm[i]], in t-polynomials."""
+    n = len(rows)
+    total = TPoly()
+    for perm in itertools.permutations(range(n)):
+        term = TPoly.const(1)
+        for i, col in enumerate(perm):
+            term = term * rows[i][col]
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def dense_centre_constants(ss, z):
+    """gamma[a][b][e] from the pivot entries of z_a·d_j, then of z_a·z_b."""
+    n = ss.dim
+    blocks = z.dim
+    table = ss.table
+    left = [
+        [
+            [sum((za[i] * table[i][j][p] for i in range(n) if za[i]), ZERO) for p in z.pivots]
+            for j in range(n)
+        ]
+        for za in z.basis
+    ]
+    return [
+        [
+            [sum((zb[j] * row[j][e] for j in range(n) if zb[j]), ZERO) for e in range(blocks)]
+            for zb in z.basis
+        ]
+        for row in left
+    ]
+
+
+def accumulated_identity_values(alg, m):
+    """Each subset value as one ``sparse_multiply`` per bit of the subset,
+    added into an accumulator with the alternating sign."""
+    k = 2 * m
+    n = alg.dim
+    values = []
+    for combo in itertools.combinations(range(n), k):
+        elems = [{i: ONE} for i in combo]
+        table = {1 << p: elems[p] for p in range(k)}
+        for mask in range(1, 1 << k):
+            if mask & (mask - 1) == 0:
+                continue
+            acc = {}
+            position = 0
+            rest_bits = mask
+            while rest_bits:
+                bit = rest_bits & -rest_bits
+                rest_bits ^= bit
+                sub = table[mask ^ bit]
+                if sub:
+                    p = bit.bit_length() - 1
+                    term = alg.sparse_multiply(elems[p], sub)
+                    negate = position % 2
+                    for l, v in term.items():
+                        prev = acc.get(l)
+                        v = -v if negate else v
+                        acc[l] = v if prev is None else prev + v
+                position += 1
+            table[mask] = {l: v for l, v in acc.items() if v}
+        top = table[(1 << k) - 1]
+        values.append(tuple(top.get(i, ZERO) for i in range(n)))
+    return values
+
+
+# valid algebras on rational and Gaussian scrambles, and on their own bases;
+# the corpus holds the non-semisimple sums UT2, UT3, dual numbers + field and
+# M2 + dual numbers
+algebras = st.one_of(
+    rebased().map(lambda pair: pair[1]),
+    gaussian_scrambles(),
+    st.sampled_from(CORPUS + LARGER),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(algebras, random_tables()))
+def test_trace_form_matches_the_dense_loops(alg):
+    assert alg.trace_vector() == dense_trace_vector(alg)
+    assert gram_matrix(alg) == dense_gram_matrix(alg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(families())
+def test_family_trace_form_matches_the_dense_loops(fam):
+    sparse = _sparse_entries(fam.table)
+    gram = dense_family_gram(fam)
+    assert _trace_form(sparse, _trace_vector(sparse, TPoly()), TPoly()) == gram
+    assert trace_form_determinant(fam) == leibniz_determinant(gram)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebras)
+def test_centre_constants_match_the_dense_loops(alg):
+    rad = radical(alg)
+    ss = quotient(alg, rad)[0] if rad.dim else alg
+    for a in (alg, ss):  # the centre of a non-semisimple algebra is a subalgebra too
+        z = centre(a)
+        assert _centre_constants(a, z) == dense_centre_constants(a, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(algebras, random_tables()), st.integers(1, 3))
+def test_identity_values_match_the_per_bit_accumulate(alg, m):
+    assume(2 * m <= alg.dim)
+    values = [v.coords for v in standard_identity_values(alg, m)]
+    assert values == accumulated_identity_values(alg, m)
