@@ -1,8 +1,11 @@
 """Finite-dimensional unital associative algebras given by structure constants.
 
-A :class:`StructureAlgebra` stores the full multiplication tensor: entry
-``table[i][j]`` is the coordinate vector of the product of basis elements i
-and j.  The unit is an explicit coordinate vector rather than a distinguished
+A :class:`StructureAlgebra` stores its multiplication tensor once, in
+sparse form: ``sparse[i][j]`` holds the nonzero ``(l, c)`` pairs of the
+product of basis elements i and j.  ``deformation.DeformationFamily`` stores
+its t-polynomial tensor the same way; both are read from a dense n×n×n
+table, and ``table`` gives that dense form back as a view built on first
+use.  The unit is an explicit coordinate vector rather than a distinguished
 basis slot, because quotients and presentation builders routinely produce
 bases where no single basis element is the identity.
 
@@ -133,36 +136,65 @@ class Element:
         return "Element(" + (" + ".join(parts) if parts else "0") + ")"
 
 
-class StructureAlgebra:
-    """Unital associative algebra over the Gaussian rationals.
+class _Tensor:
+    """Labels, unit and structure tensor, shared by algebras and t-polynomial
+    families.  The tensor is stored once, sparse: ``sparse[i][j]`` is the
+    tuple of nonzero ``(l, c)`` pairs, in ascending l, of the product of
+    basis elements i and j.  ``table`` is a dense view of it."""
 
-    Immutable after construction.  ``validate`` checks associativity and the
-    unit law exhaustively; use it before trusting a hand-written table.
-    """
-
-    __slots__ = ("dim", "labels", "table", "unit", "_sparse", "_trace_vector")
+    __slots__ = ("dim", "labels", "unit", "sparse", "_table")
+    # the zero of the structure constants, their coercion, and their JSON form
+    _zero = ZERO
+    _constant = staticmethod(GaussianRational.coerce)
+    _literal = staticmethod(str)
 
     def __init__(self, labels, table, unit):
-        self.labels = tuple(str(x) for x in labels)
-        self.dim = len(self.labels)
-        n = self.dim
-        if len(table) != n or any(len(r) != n for r in table):
-            raise ValueError("structure tensor has wrong shape")
-        tab = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                vec = tuple(GaussianRational.coerce(c) for c in table[i][j])
-                if len(vec) != n:
-                    raise ValueError("structure tensor has wrong shape")
-                row.append(vec)
-            tab.append(tuple(row))
-        self.table = tuple(tab)
+        labels = tuple(str(x) for x in labels)
+        self._store(labels, _sparse_tensor(table, len(labels), self._constant), unit)
+
+    @classmethod
+    def _from_sparse(cls, labels, sparse, unit):
+        """An instance on a tensor already in the sparse form, taken as it is."""
+        self = cls.__new__(cls)
+        self._store(tuple(labels), sparse, unit)
+        return self
+
+    def _store(self, labels, sparse, unit):
+        self.labels = labels
+        self.dim = len(labels)
+        self.sparse = sparse
         self.unit = tuple(GaussianRational.coerce(c) for c in unit)
-        if len(self.unit) != n:
+        if len(self.unit) != self.dim:
             raise ValueError("unit vector has wrong length")
-        self._sparse = None
-        self._trace_vector = None
+        self._table = None
+
+    @property
+    def table(self):
+        """The dense tensor, ``table[i][j][l]`` = c_ij^l, as tuples: a
+        read-only view built on first use and kept."""
+        if self._table is None:
+            n, zero = self.dim, self._zero
+            self._table = tuple(tuple(_dense(entry, n, zero) for entry in row) for row in self.sparse)
+        return self._table
+
+    def to_json_dict(self) -> dict:
+        return {
+            "dim": self.dim,
+            "labels": list(self.labels),
+            "unit": [str(c) for c in self.unit],
+            "table": [[[self._literal(c) for c in vec] for vec in row] for row in self.table],
+        }
+
+
+class StructureAlgebra(_Tensor):
+    """Unital associative algebra over the Gaussian rationals.
+
+    Immutable after construction; the table is given dense, n×n×n, and
+    stored sparse.  ``validate`` checks associativity and the unit law
+    exhaustively; use it before trusting a hand-written table.
+    """
+
+    __slots__ = ()
 
     # -- element construction ---------------------------------------------
 
@@ -180,36 +212,29 @@ class StructureAlgebra:
 
     # -- multiplication -------------------------------------------------------
 
-    def _sparse_table(self):
-        if self._sparse is None:
-            self._sparse = _sparse_entries(self.table)
-        return self._sparse
-
     def multiply_coords(self, a, b):
         """Bilinear extension of the structure table to coordinate vectors."""
         n = self.dim
         if len(a) != n or len(b) != n:
             raise ValueError("coordinate length does not match algebra dimension")
-        product = _product(self._sparse_table(), _support(a), _support(b))
+        product = _product(self.sparse, _support(a), _support(b))
         return tuple(product.get(l, ZERO) for l in range(n))
 
     def sparse_multiply(self, a: dict, b: dict) -> dict:
         """Product of sparse coordinate dicts {index: scalar}; zero-free output."""
-        return _product(self._sparse_table(), a.items(), b.items())
+        return _product(self.sparse, a.items(), b.items())
 
     def left_regular(self, a: Element) -> Matrix:
         """Matrix of y -> a∘y on the basis; column j is a∘d_j."""
         n = self.dim
-        sparse = self._sparse_table()
+        sparse = self.sparse
         terms = _support(a.coords)
         cols = [_combine((c, sparse[i][j]) for i, c in terms) for j in range(n)]
         return Matrix([[col.get(i, ZERO) for col in cols] for i in range(n)])
 
     def trace_vector(self):
         """trace(L_{d_i}) for each basis index i; linear data for the Gram form."""
-        if self._trace_vector is None:
-            self._trace_vector = _trace_vector(self._sparse_table(), ZERO)
-        return self._trace_vector
+        return _trace_vector(self.sparse, ZERO)
 
     # -- validation -----------------------------------------------------------
 
@@ -222,19 +247,9 @@ class StructureAlgebra:
         the cost is the number of nonzero products c_ij^l·c_lk^m and
         c_jk^l·c_il^m, with no per-triple work where both sides vanish.
         """
-        return ValidationReport(*_axiom_failures(self._sparse_table(), self.unit, ONE))
+        return ValidationReport(*_axiom_failures(self.sparse, self.unit, ONE))
 
     # -- serialization ----------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "labels": list(self.labels),
-            "unit": [str(c) for c in self.unit],
-            "table": [
-                [[str(c) for c in vec] for vec in row] for row in self.table
-            ],
-        }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "StructureAlgebra":
@@ -334,12 +349,25 @@ def _support(vec):
     return [(i, GaussianRational.coerce(c)) for i, c in enumerate(vec) if c]
 
 
-def _sparse_entries(table):
-    """The table with each entry cut down to its nonzero ``(index, scalar)`` pairs."""
+def _sparse_tensor(table, n, constant):
+    """The sparse form of an n×n×n dense table: the nonzero ``(l, c)`` pairs
+    of each entry, with ``constant`` applied to every c.  Any other shape is
+    a ``ValueError``."""
+    if len(table) != n or any(len(row) != n or any(len(vec) != n for vec in row)
+                              for row in table):
+        raise ValueError("structure tensor has wrong shape")
     return tuple(
-        tuple(tuple((l, c) for l, c in enumerate(vec) if c) for vec in row)
+        tuple(tuple((l, c) for l, c in enumerate(map(constant, vec)) if c) for vec in row)
         for row in table
     )
+
+
+def _dense(pairs, n, zero=ZERO):
+    """The length-n vector with the given nonzero ``(index, scalar)`` pairs."""
+    vec = [zero] * n
+    for l, c in pairs:
+        vec[l] = c
+    return tuple(vec)
 
 
 def _combine(terms):
@@ -444,7 +472,7 @@ def ideal_closure(alg: StructureAlgebra, seed: Subspace) -> Subspace:
     if seed.ambient_dim != alg.dim:
         raise ValueError("seed ambient dimension does not match algebra dimension")
     n = alg.dim
-    sparse = alg._sparse_table()
+    sparse = alg.sparse
     span = _Echelon()
     todo = [span.add(dict(_support(v))) for v in seed.basis]
     while todo and len(span.rows) < n:
@@ -469,25 +497,28 @@ def quotient(alg: StructureAlgebra, ideal: Subspace):
         raise ValueError("ideal ambient dimension does not match algebra dimension")
     if ideal_closure(alg, ideal) != ideal:
         raise NotAnIdealError("subspace is not a two-sided ideal")
-    return _project(alg, ideal)
+    q, project = _project(alg, ideal)
+    return q, Matrix(zip(*(_dense(project({j: ONE}), q.dim) for j in range(alg.dim))))
 
 
 def _project(alg: StructureAlgebra, ideal: Subspace):
     """:func:`quotient` by a subspace already known to be a two-sided ideal,
-    such as the radical that :func:`analysis.radical` has certified."""
+    such as the radical that :func:`analysis.radical` has certified.
+
+    Returns the quotient algebra and the projection as a function from a
+    sparse ``{index: scalar}`` vector to the nonzero ``(index, scalar)``
+    pairs of its image; each table entry is its reduced residue.
+    """
     span = _Echelon.of(ideal)
     if ideal.dim and not span.reduce(dict(_support(alg.unit))):
         raise UnitInIdealError("ideal contains the unit; quotient would be the zero ring")
-    n = alg.dim
-    comp = [c for c in range(n) if c not in span.rows]
+    comp = [c for c in range(alg.dim) if c not in span.rows]
+    index = {c: k for k, c in enumerate(comp)}
 
     def project(vec):
-        residue = span.reduce(vec)
-        return tuple(residue.get(c, ZERO) for c in comp)
+        return tuple(sorted((index[c], v) for c, v in span.reduce(vec).items()))
 
-    sparse = alg._sparse_table()
-    labels = [alg.labels[c] for c in comp]
-    table = [[project(dict(sparse[a][b])) for b in comp] for a in comp]
-    unit = project(dict(_support(alg.unit)))
-    proj = Matrix(zip(*(project({j: ONE}) for j in range(n))))
-    return StructureAlgebra(labels, table, unit), proj
+    sparse = alg.sparse
+    table = tuple(tuple(project(dict(sparse[a][b])) for b in comp) for a in comp)
+    unit = _dense(project(dict(_support(alg.unit))), len(comp))
+    return StructureAlgebra._from_sparse([alg.labels[c] for c in comp], table, unit), project

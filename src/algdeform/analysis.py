@@ -10,9 +10,9 @@ The standard-identity spans and ideals themselves are still available, at
 exponential cost in the degree.  Everything is computed over the Gaussian
 rationals; ranks and span dimensions agree with those over the closure.
 
-The trace form, the structure constants of the centre and the
-standard-identity products go through the sparse table and its one
-contraction, ``algebra._combine``, rather than the dense tensor.
+The trace form, the centre's commutator system and structure constants and
+the standard-identity products read the sparse structure tensor only;
+products go through its one contraction, ``algebra._combine``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from math import comb, isqrt
 
-from .algebra import Element, StructureAlgebra, _combine, _project, _support, _trace_form, ideal_closure
+from .algebra import (Element, StructureAlgebra, _combine, _dense, _project, _support, _trace_form,
+                      ideal_closure)
 from .linalg import ONE, ZERO, Matrix, Subspace
 
 
@@ -38,7 +39,7 @@ class NonIntegralLayerError(RuntimeError):
 
 def gram_matrix(alg: StructureAlgebra) -> Matrix:
     """Trace form G[i][j] = trace(L_i L_j) of the left regular representation."""
-    return Matrix(_trace_form(alg._sparse_table(), alg.trace_vector(), ZERO))
+    return Matrix(_trace_form(alg.sparse, alg.trace_vector(), ZERO))
 
 
 def radical(alg: StructureAlgebra) -> Subspace:
@@ -90,7 +91,7 @@ def standard_identity_values(alg: StructureAlgebra, m: int):
             f"standard identity of degree {k} on dim {n} takes {work} subset products, "
             f"above the cap of {MAX_IDENTITY_WORK}"
         )
-    sparse = alg._sparse_table()
+    sparse = alg.sparse
     values = []
     for combo in itertools.combinations(range(n), k):
         rows = [sparse[i] for i in combo]
@@ -209,17 +210,24 @@ def centre(alg: StructureAlgebra) -> Subspace:
     """Centre of ``alg``: every z with z*d_i = d_i*z for each basis element.
 
     Row (i, l) of the system is the l-th coordinate of the commutator
-    [z, d_i] = sum_k z_k (c_ki^l - c_ik^l); repeated rows are dropped before
+    [z, d_i] = sum_k z_k (c_ki^l - c_ik^l), formed from the nonzero
+    structure constants only; zero and repeated rows are dropped before
     elimination.
     """
     n = alg.dim
-    table = alg.table
-    rows = dict.fromkeys(
-        tuple(table[k][i][l] - table[i][k][l] for k in range(n))
-        for i in range(n)
-        for l in range(n)
-    )
-    return Matrix(list(rows)).kernel()
+    sparse = alg.sparse
+    rows = {}
+    for i in range(n):
+        commutator = [{} for _ in range(n)]  # commutator[l][k] = c_ki^l - c_ik^l
+        for k in range(n):
+            for l, c in sparse[k][i]:
+                commutator[l][k] = c
+            for l, c in sparse[i][k]:
+                commutator[l][k] = commutator[l].get(k, ZERO) - c
+        for row in commutator:
+            rows.setdefault(tuple((k, c) for k, c in row.items() if c), None)
+    rows.pop((), None)
+    return Matrix([_dense(row, n) for row in rows] or [[ZERO] * n]).kernel()
 
 
 def _centre_constants(alg: StructureAlgebra, z: Subspace):

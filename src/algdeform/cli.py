@@ -92,13 +92,14 @@ def _emit(args, document: dict, text_lines):
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _build(path: Path, max_degree=None):
-    """Read a presentation file and build its algebra."""
+def _build(path: Path, max_degree=None, data=None):
+    """Build the algebra of a presentation file, or of its parsed ``data``."""
     from .presentation import Presentation, PresentationError, build
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        if data is None:
+            with open(path, "r", encoding="utf-8") as fh:
+                data = json.load(fh)
         if max_degree is not None:
             data["max_degree"] = max_degree
         pres = Presentation.from_json_dict(data)
@@ -110,9 +111,10 @@ def _build(path: Path, max_degree=None):
         raise InputError(f"build failed: {type(err).__name__}: {err}") from err
 
 
-def _load_algebra(path: Path) -> StructureAlgebra:
+def _load_algebra(path: Path, data=None) -> StructureAlgebra:
+    """Read and validate an algebra file, or its parsed ``data``."""
     try:
-        alg = StructureAlgebra.load(path)
+        alg = StructureAlgebra.load(path) if data is None else StructureAlgebra.from_json_dict(data)
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise InputError(f"cannot read algebra {path}: {err}") from err
     report = alg.validate()
@@ -204,7 +206,7 @@ def _resolve_generators(args, selector: str):
     except (OSError, ValueError) as err:
         raise InputError(f"cannot read {path}: {err}") from err
     if ";" in selector:
-        alg = _load_algebra(path)
+        alg = _load_algebra(path, data)
         parts = selector.split(";")
         if len(parts) != 2:
             raise InputError("need exactly two coordinate vectors separated by ';'")
@@ -222,14 +224,14 @@ def _resolve_generators(args, selector: str):
     if len(names) != 2:
         raise InputError("need exactly two generator names, e.g. --generators x,y")
     if "generators" in data:
-        result = _build(path, args.max_degree)
+        result = _build(path, args.max_degree, data)
         try:
             gx = result.generator_element(names[0])
             gy = result.generator_element(names[1])
         except ValueError as err:
             raise InputError(f"unknown generator name: {err}") from err
         return result.algebra, gx, gy
-    alg = _load_algebra(path)
+    alg = _load_algebra(path, data)
     try:
         gx = alg.basis_element(alg.labels.index(names[0]))
         gy = alg.basis_element(alg.labels.index(names[1]))

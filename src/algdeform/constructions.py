@@ -28,27 +28,19 @@ def _matrix_units(k, pairs):
     index = {rc: i for i, rc in enumerate(pairs)}
     n = len(pairs)
     labels = [f"e{r}{c}" for r, c in pairs]
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c:
-                table[i][j][index[(a, d)]] = ONE
+    table = tuple(
+        tuple(((index[(a, d)], ONE),) if b == c else () for c, d in pairs)
+        for a, b in pairs
+    )
     unit = [ZERO] * n
     for r in range(1, k + 1):
         unit[index[(r, r)]] = ONE
-    return StructureAlgebra(labels, table, unit)
+    return StructureAlgebra._from_sparse(labels, table, unit)
 
 
 def dual_numbers() -> StructureAlgebra:
     """Two-dimensional algebra with basis {1, x} and x*x = 0."""
-    return StructureAlgebra(
-        ["1", "x"],
-        [
-            [[ONE, ZERO], [ZERO, ONE]],
-            [[ZERO, ONE], [ZERO, ZERO]],
-        ],
-        [ONE, ZERO],
-    )
+    return StructureAlgebra(["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], [1, 0])
 
 
 def scalar_field() -> StructureAlgebra:
@@ -64,21 +56,18 @@ def direct_sum(*algebras: StructureAlgebra) -> StructureAlgebra:
         return algebras[0]
     n = sum(a.dim for a in algebras)
     labels = []
-    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
-    unit = [ZERO] * n
+    table = [[()] * n for _ in range(n)]
+    unit = []
     offset = 0
     for idx, alg in enumerate(algebras):
-        for lbl in alg.labels:
-            labels.append(f"{lbl}_{idx}")
-        for i in range(alg.dim):
-            unit[offset + i] = alg.unit[i]
-            for j in range(alg.dim):
-                vec = [ZERO] * n
-                for l in range(alg.dim):
-                    vec[offset + l] = alg.table[i][j][l]
-                table[offset + i][offset + j] = vec
+        labels.extend(f"{lbl}_{idx}" for lbl in alg.labels)
+        unit.extend(alg.unit)
+        for i, row in enumerate(alg.sparse):
+            table[offset + i][offset:offset + alg.dim] = (
+                tuple((offset + l, c) for l, c in entry) for entry in row
+            )
         offset += alg.dim
-    return StructureAlgebra(labels, table, unit)
+    return StructureAlgebra._from_sparse(labels, tuple(map(tuple, table)), unit)
 
 
 def from_block_sizes(sizes) -> StructureAlgebra:

@@ -18,9 +18,9 @@ from __future__ import annotations
 import json
 
 from .algebra import (StructureAlgebra, ValidationReport, _axiom_failures, _read_table,
-                      _sparse_entries, _trace_form, _trace_vector)
+                      _Tensor, _trace_form, _trace_vector)
 from .analysis import block_profile, radical
-from .linalg import ONE, ZERO, GaussianRational, parse_scalar
+from .linalg import GaussianRational, parse_scalar
 from .ncpoly import TPOLY_ONE, NcPoly, TPoly
 from .presentation import BuildResult, Presentation, PresentationError, _read_presentation, build
 
@@ -46,30 +46,27 @@ class FamilyReport(ValidationReport):
     WHERE = " in t"
 
 
-class DeformationFamily:
-    """Structure constants polynomial in t; the base algebra sits at t = 0."""
+class DeformationFamily(_Tensor):
+    """Structure constants polynomial in t; the base algebra sits at t = 0.
 
-    __slots__ = ("dim", "labels", "unit", "table", "_report")
+    The table is given dense, n×n×n, with ``TPoly`` entries (or scalars,
+    read as constants) and stored sparse, as for a ``StructureAlgebra``;
+    the unit is constant in t.
+    """
 
-    def __init__(self, labels, table, unit):
-        self.labels = tuple(str(x) for x in labels)
-        self.dim = len(self.labels)
-        n = self.dim
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError("family tensor has wrong shape")
-        tab = []
-        for row in table:
-            out_row = []
-            for vec in row:
-                vec = tuple(c if isinstance(c, TPoly) else TPoly.const(c) for c in vec)
-                if len(vec) != n:
-                    raise ValueError("family tensor has wrong shape")
-                out_row.append(vec)
-            tab.append(tuple(out_row))
-        self.table = tuple(tab)
-        self.unit = tuple(GaussianRational.coerce(c) for c in unit)
-        if len(self.unit) != n:
-            raise ValueError("unit vector has wrong length")
+    __slots__ = ("_report",)
+    _zero = TPoly()
+
+    @staticmethod
+    def _constant(c):
+        return c if isinstance(c, TPoly) else TPoly.const(c)
+
+    @staticmethod
+    def _literal(p):
+        return [str(c) for c in p.coeffs]
+
+    def _store(self, labels, sparse, unit):
+        super()._store(labels, sparse, unit)
         self._report = None
 
     def validate(self) -> FamilyReport:
@@ -80,7 +77,7 @@ class DeformationFamily:
         """
         if self._report is None:
             unit = [TPoly.const(c) for c in self.unit]
-            failures = _axiom_failures(_sparse_entries(self.table), unit, TPOLY_ONE)
+            failures = _axiom_failures(self.sparse, unit, TPOLY_ONE)
             self._report = FamilyReport(*failures)
         return self._report
 
@@ -92,22 +89,14 @@ class DeformationFamily:
         report = self.validate()
         if not report.ok:
             raise FamilyValidationError(f"family is not valid: {report.summary()}")
-        table = [
-            [[entry.eval(s) for entry in vec] for vec in row] for row in self.table
-        ]
-        return StructureAlgebra(self.labels, table, self.unit)
+        table = tuple(
+            tuple(tuple((l, v) for l, p in entry for v in (p.eval(s),) if v) for entry in row)
+            for row in self.sparse
+        )
+        return StructureAlgebra._from_sparse(self.labels, table, self.unit)
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": "table",
-            "dim": self.dim,
-            "labels": list(self.labels),
-            "unit": [str(c) for c in self.unit],
-            "table": [
-                [[[str(c) for c in entry.coeffs] for entry in vec] for vec in row]
-                for row in self.table
-            ],
-        }
+        return {"kind": "table", **super().to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeformationFamily":
@@ -118,25 +107,17 @@ class DeformationFamily:
 
 def constant_family(alg: StructureAlgebra) -> DeformationFamily:
     """The family that is the given algebra at every t."""
-    table = [
-        [[TPoly.const(c) for c in vec] for vec in row] for row in alg.table
-    ]
-    return DeformationFamily(alg.labels, table, alg.unit)
+    table = tuple(
+        tuple(tuple((l, TPoly.const(c)) for l, c in entry) for entry in row)
+        for row in alg.sparse
+    )
+    return DeformationFamily._from_sparse(alg.labels, table, alg.unit)
 
 
 def dual_number_family() -> DeformationFamily:
     """Basis {1, x} with x*x = t; splits into two one-blocks at every t != 0."""
-    one = TPoly.const(1)
-    zero = TPoly()
     t = TPoly.t_power(1)
-    return DeformationFamily(
-        ["1", "x"],
-        [
-            [[one, zero], [zero, one]],
-            [[zero, one], [t, zero]],
-        ],
-        [ONE, ZERO],
-    )
+    return DeformationFamily(["1", "x"], [[[1, 0], [0, 1]], [[0, 1], [t, 0]]], [1, 0])
 
 
 class SampledFamily:
@@ -261,10 +242,6 @@ class ScanResult:
     def __init__(self, samples, verdict):
         self.samples = tuple(samples)
         self.verdict = verdict
-
-    @property
-    def schedule(self):
-        return tuple(sample.s for sample in self.samples)
 
     def to_json_dict(self) -> dict:
         return {
@@ -393,7 +370,7 @@ def trace_form_determinant(family: DeformationFamily) -> TPoly:
     nonzero at s, so the roots mark the exceptional parameter values.
     """
     n = family.dim
-    sparse = _sparse_entries(family.table)
+    sparse = family.sparse
     gram = _trace_form(sparse, _trace_vector(sparse, TPoly()), TPoly())
     # determinant by Laplace expansion memoized over column subsets
     minors = {0: TPoly.const(1)}

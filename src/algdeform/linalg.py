@@ -326,11 +326,6 @@ class Matrix:
             ]
         )
 
-    def trace(self) -> GaussianRational:
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), ZERO)
-
     def inverse(self) -> "Matrix":
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")

@@ -159,7 +159,6 @@ class TPoly:
         return f"TPoly({self})"
 
 
-TPOLY_ZERO = TPoly()
 TPOLY_ONE = TPoly.const(1)
 
 
@@ -222,10 +221,6 @@ class NcPoly:
     @classmethod
     def generator(cls, gens, index) -> "NcPoly":
         return cls(gens, {(index,): TPOLY_ONE})
-
-    @classmethod
-    def monomial(cls, gens, word, coeff=1) -> "NcPoly":
-        return cls(gens, {tuple(word): coeff})
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -280,11 +280,11 @@ def _construct(p: Presentation, basis, closure_rows, degree) -> BuildResult:
             vec = {i: ONE}
             for letter in wj:
                 vec = _combine((c, right[letter][b]) for b, c in vec.items())
-            row.append(tuple(vec.get(l, ZERO) for l in range(m)))
-        table.append(row)
+            row.append(tuple(sorted(vec.items())))
+        table.append(tuple(row))
     unit = tuple(ONE if b == index[()] else ZERO for b in range(m))
     labels = [word_to_str(w, gens) for w in basis]
-    algebra = StructureAlgebra(labels, table, unit)
+    algebra = StructureAlgebra._from_sparse(labels, tuple(table), unit)
     report = algebra.validate()
     if not report.ok:
         raise NotClosedError(

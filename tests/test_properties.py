@@ -1,10 +1,14 @@
 """Property tests: invariants that must hold on every input of a family."""
 
 import itertools
+import re
+from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from algdeform.algebra import StructureAlgebra, _sparse_entries, _trace_form, _trace_vector, quotient
+from algdeform.algebra import (StructureAlgebra, UnitInIdealError, _project, _trace_form,
+                               _trace_vector, ideal_closure, quotient)
 from algdeform.analysis import (
     _centre_constants,
     block_profile,
@@ -18,15 +22,17 @@ from algdeform.constructions import (
     direct_sum,
     dual_numbers,
     from_block_sizes,
+    matrix_unit_algebra,
     upper_triangular_algebra,
 )
 from algdeform.deformation import (
     DeformationFamily,
+    FamilyValidationError,
     constant_family,
     dual_number_family,
     trace_form_determinant,
 )
-from algdeform.linalg import ONE, ZERO, GaussianRational, Matrix
+from algdeform.linalg import ONE, ZERO, GaussianRational, Matrix, Subspace, _Echelon
 from algdeform.ncpoly import TPoly
 
 CORPUS = (
@@ -381,7 +387,7 @@ def test_trace_form_matches_the_dense_loops(alg):
 @settings(max_examples=60, deadline=None)
 @given(families())
 def test_family_trace_form_matches_the_dense_loops(fam):
-    sparse = _sparse_entries(fam.table)
+    sparse = fam.sparse
     gram = dense_family_gram(fam)
     assert _trace_form(sparse, _trace_vector(sparse, TPoly()), TPoly()) == gram
     assert trace_form_determinant(fam) == leibniz_determinant(gram)
@@ -403,3 +409,225 @@ def test_identity_values_match_the_per_bit_accumulate(alg, m):
     assume(2 * m <= alg.dim)
     values = [v.coords for v in standard_identity_values(alg, m)]
     assert values == accumulated_identity_values(alg, m)
+
+
+# -- the sparse producers against the dense code they replaced --------------
+#
+# Each function below is the dense version of a structure-tensor producer or
+# consumer as it was before the tensor was stored sparse: it walks or
+# zero-fills all n^3 entries of ``table``.  Each is kept as the oracle of its
+# replacement; a produced algebra is compared by labels, dense table, unit
+# and validation report.
+
+
+def dense_centre(alg):
+    n = alg.dim
+    table = alg.table
+    rows = dict.fromkeys(
+        tuple(table[k][i][l] - table[i][k][l] for k in range(n))
+        for i in range(n)
+        for l in range(n)
+    )
+    return Matrix(list(rows)).kernel()
+
+
+def dense_specialize(fam, s):
+    report = fam.validate()
+    if not report.ok:
+        raise FamilyValidationError(f"family is not valid: {report.summary()}")
+    table = [[[entry.eval(s) for entry in vec] for vec in row] for row in fam.table]
+    return StructureAlgebra(fam.labels, table, fam.unit)
+
+
+def dense_quotient(alg, ideal):
+    """``_project`` as it was: the quotient by a known ideal, and the
+    projection matrix, from dense residues."""
+    span = _Echelon.of(ideal)
+    if ideal.dim and not span.reduce(dict(enumerate(alg.unit))):
+        raise UnitInIdealError("ideal contains the unit; quotient would be the zero ring")
+    n = alg.dim
+    comp = [c for c in range(n) if c not in span.rows]
+
+    def project(vec):
+        residue = span.reduce(vec)
+        return tuple(residue.get(c, ZERO) for c in comp)
+
+    labels = [alg.labels[c] for c in comp]
+    table = [[project(dict(enumerate(alg.table[a][b]))) for b in comp] for a in comp]
+    unit = project(dict(enumerate(alg.unit)))
+    proj = Matrix(zip(*(project({j: ONE}) for j in range(n))))
+    return StructureAlgebra(labels, table, unit), proj
+
+
+def dense_direct_sum(*algebras):
+    n = sum(a.dim for a in algebras)
+    labels = []
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    unit = [ZERO] * n
+    offset = 0
+    for idx, alg in enumerate(algebras):
+        for lbl in alg.labels:
+            labels.append(f"{lbl}_{idx}")
+        for i in range(alg.dim):
+            unit[offset + i] = alg.unit[i]
+            for j in range(alg.dim):
+                vec = [ZERO] * n
+                for l in range(alg.dim):
+                    vec[offset + l] = alg.table[i][j][l]
+                table[offset + i][offset + j] = vec
+        offset += alg.dim
+    return StructureAlgebra(labels, table, unit)
+
+
+def dense_matrix_units(k, pairs):
+    index = {rc: i for i, rc in enumerate(pairs)}
+    n = len(pairs)
+    table = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            if b == c:
+                table[i][j][index[(a, d)]] = ONE
+    unit = [ZERO] * n
+    for r in range(1, k + 1):
+        unit[index[(r, r)]] = ONE
+    return StructureAlgebra([f"e{r}{c}" for r, c in pairs], table, unit)
+
+
+def assert_same_algebra(alg, reference):
+    assert alg.labels == reference.labels
+    assert alg.table == reference.table
+    assert alg.unit == reference.unit
+    assert_same_report(alg.validate(), dense_validate(reference))
+
+
+def rebase_family(fam, p):
+    """The family on the constant basis given by the columns of ``p``."""
+    n = fam.dim
+    inv = p.inverse()
+    cols = [[p.rows[r][i] for r in range(n)] for i in range(n)]
+
+    def times(a, b):
+        out = [TPoly() for _ in range(n)]
+        for r, ar in enumerate(a):
+            for s, bs in enumerate(b):
+                if ar and bs:
+                    for l, entry in enumerate(fam.table[r][s]):
+                        if entry:
+                            out[l] = out[l] + entry * (ar * bs)
+        return out
+
+    def apply(vec):
+        return [sum((vec[c] * row[c] for c in range(n) if row[c]), TPoly()) for row in inv.rows]
+
+    table = [[apply(times(cols[i], cols[j])) for j in range(n)] for i in range(n)]
+    return DeformationFamily([f"b{i}" for i in range(n)], table, inv.mul_vec(fam.unit))
+
+
+@st.composite
+def root_families(draw):
+    """Valid t-polynomial families: k[x]/(x^k - q(t)) plus a constant corpus
+    algebra, some on a random Gaussian-integer constant basis."""
+    k = draw(st.integers(1, 3))
+    q = TPoly(draw(st.lists(st.integers(-2, 2), min_size=1, max_size=3)))
+    base = draw(st.sampled_from([alg for alg in CORPUS if alg.dim <= 3]))
+    n = k + base.dim
+    table = [[[TPoly()] * n for _ in range(n)] for _ in range(n)]
+    for a in range(k):
+        for b in range(k):
+            e = a + b
+            table[a][b][e % k] = TPoly.const(1) if e < k else q
+    for i in range(base.dim):
+        for j in range(base.dim):
+            for l, c in enumerate(base.table[i][j]):
+                table[k + i][k + j][k + l] = TPoly.const(c)
+    fam = DeformationFamily([f"d{i}" for i in range(n)], table, [1] + [0] * (k - 1) + list(base.unit))
+    if draw(st.booleans()):
+        entries = draw(st.lists(scalars, min_size=n * n, max_size=n * n))
+        p = Matrix([entries[r * n:(r + 1) * n] for r in range(n)])
+        assume(p.rank == n)
+        fam = rebase_family(fam, p)
+    return fam
+
+
+valid_families = st.one_of(
+    root_families(),
+    algebras.map(constant_family),
+    st.just(dual_number_family()),
+)
+parameters = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+
+
+@settings(max_examples=20, deadline=None)
+@given(root_families())
+def test_root_families_are_valid(fam):
+    assert dense_family_validate(fam) == ((), ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(valid_families, families()), parameters)
+def test_specialize_matches_the_dense_table(fam, s):
+    try:
+        expected = dense_specialize(fam, s)
+    except FamilyValidationError as err:
+        with pytest.raises(FamilyValidationError, match=re.escape(str(err))):
+            fam.specialize(s)
+        return
+    assert_same_algebra(fam.specialize(s), expected)
+
+
+@settings(max_examples=30, deadline=None)
+@given(algebras)
+def test_constant_family_matches_the_dense_table(alg):
+    fam = constant_family(alg)
+    assert fam.table == tuple(tuple(tuple(TPoly.const(c) for c in vec) for vec in row)
+                              for row in alg.table)
+    assert_same_report(fam.validate(), dense_family_validate(fam))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(algebras, random_tables(), st.tuples(root_families(), parameters).map(
+    lambda pair: pair[0].specialize(pair[1]))))
+def test_centre_matches_the_dense_rows(alg):
+    assert centre(alg) == dense_centre(alg)
+
+
+@st.composite
+def ideals(draw):
+    """A valid algebra and a two-sided ideal of it: its radical, or the
+    closure of a random vector (which may hold the unit)."""
+    alg = draw(st.one_of(algebras, st.tuples(root_families(), parameters).map(
+        lambda pair: pair[0].specialize(pair[1]))))
+    if draw(st.booleans()):
+        return alg, radical(alg)
+    vec = draw(st.lists(sparse_scalars, min_size=alg.dim, max_size=alg.dim))
+    return alg, ideal_closure(alg, Subspace.from_vectors(alg.dim, [vec]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ideals())
+def test_quotient_matches_the_dense_residues(pair):
+    alg, ideal = pair
+    try:
+        expected, expected_proj = dense_quotient(alg, ideal)
+    except UnitInIdealError:
+        with pytest.raises(UnitInIdealError):
+            quotient(alg, ideal)
+        return
+    assert_same_algebra(_project(alg, ideal)[0], expected)
+    q, proj = quotient(alg, ideal)
+    assert_same_algebra(q, expected)
+    assert proj == expected_proj
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.one_of(algebras, random_tables()), min_size=2, max_size=3))
+def test_direct_sum_matches_the_dense_table(parts):
+    assert_same_algebra(direct_sum(*parts), dense_direct_sum(*parts))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 4), st.booleans())
+def test_matrix_units_match_the_dense_table(k, triangular):
+    pairs = [(r, c) for r in range(1, k + 1) for c in range(r if triangular else 1, k + 1)]
+    built = (upper_triangular_algebra if triangular else matrix_unit_algebra)(k)
+    assert_same_algebra(built, dense_matrix_units(k, pairs))
