@@ -4,8 +4,8 @@ Everything runs over the Gaussian rationals, each an exact int triple
 (p + q*i)/d; there is no floating point anywhere.  The pieces:
 
 ``linalg``
-    Exact scalars, dense matrices, canonical subspaces, and the sparse
-    echelon kernel that every elimination runs through.
+    Exact scalars, dense matrices, subspaces stored as their sparse reduced
+    echelon, and the sparse echelon kernel that every elimination runs through.
 ``ncpoly``
     Noncommutative polynomials with t-polynomial coefficients, and the
     relation parser.

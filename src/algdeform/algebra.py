@@ -474,7 +474,7 @@ def ideal_closure(alg: StructureAlgebra, seed: Subspace) -> Subspace:
     n = alg.dim
     sparse = alg.sparse
     span = _Echelon()
-    todo = [span.add(dict(_support(v))) for v in seed.basis]
+    todo = [span.add(v) for v in seed.echelon.vectors()]
     while todo and len(span.rows) < n:
         terms = todo.pop().items()
         for i in range(n):
@@ -483,7 +483,7 @@ def ideal_closure(alg: StructureAlgebra, seed: Subspace) -> Subspace:
                 row = span.add(product)
                 if row is not None:
                     todo.append(row)
-    return Subspace(n, *span.dense(n))
+    return Subspace(n, span)
 
 
 def quotient(alg: StructureAlgebra, ideal: Subspace):
@@ -509,7 +509,7 @@ def _project(alg: StructureAlgebra, ideal: Subspace):
     sparse ``{index: scalar}`` vector to the nonzero ``(index, scalar)``
     pairs of its image; each table entry is its reduced residue.
     """
-    span = _Echelon.of(ideal)
+    span = ideal.echelon
     if ideal.dim and not span.reduce(dict(_support(alg.unit))):
         raise UnitInIdealError("ideal contains the unit; quotient would be the zero ring")
     comp = [c for c in range(alg.dim) if c not in span.rows]

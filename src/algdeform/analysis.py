@@ -20,9 +20,8 @@ from __future__ import annotations
 import itertools
 from math import comb, isqrt
 
-from .algebra import (Element, StructureAlgebra, _combine, _dense, _project, _support, _trace_form,
-                      ideal_closure)
-from .linalg import ONE, ZERO, Matrix, Subspace
+from .algebra import Element, StructureAlgebra, _combine, _project, _trace_form, ideal_closure
+from .linalg import ONE, ZERO, Matrix, Subspace, _rref_rows
 
 
 class InvalidAlgebraError(RuntimeError):
@@ -211,8 +210,8 @@ def centre(alg: StructureAlgebra) -> Subspace:
 
     Row (i, l) of the system is the l-th coordinate of the commutator
     [z, d_i] = sum_k z_k (c_ki^l - c_ik^l), formed from the nonzero
-    structure constants only; zero and repeated rows are dropped before
-    elimination.
+    structure constants only.  Zero and repeated rows are dropped, the rest
+    are eliminated as sparse rows, and the kernel is read off their echelon.
     """
     n = alg.dim
     sparse = alg.sparse
@@ -227,13 +226,13 @@ def centre(alg: StructureAlgebra) -> Subspace:
         for row in commutator:
             rows.setdefault(tuple((k, c) for k, c in row.items() if c), None)
     rows.pop((), None)
-    return Matrix([_dense(row, n) for row in rows] or [[ZERO] * n]).kernel()
+    return _rref_rows(map(dict, rows), n).kernel(n)
 
 
 def _centre_constants(alg: StructureAlgebra, z: Subspace):
     """Structure constants gamma[a][b][e] of the centre ``z`` on its rref
     basis: z_a z_b lies in Z, so its coordinates at the pivots are gamma[a][b]."""
-    basis = [dict(_support(za)) for za in z.basis]
+    basis = z.echelon.vectors()
     return [
         [[product.get(p, ZERO) for p in z.pivots]
          for product in (alg.sparse_multiply(za, zb) for zb in basis)]
@@ -265,7 +264,7 @@ def block_profile(alg: StructureAlgebra, rad: Subspace = None):
     blocks = z.dim
     gamma = _centre_constants(ss, z)
     tau = ss.trace_vector()
-    on_s = [sum((za[l] * tau[l] for l in range(n) if za[l]), ZERO) for za in z.basis]
+    on_s = [sum((c * tau[l] for l, c in za.items()), ZERO) for za in z.echelon.vectors()]
     on_z = [sum((gamma[e][c][c] for c in range(blocks)), ZERO) for e in range(blocks)]
 
     def form(weights):
@@ -306,22 +305,20 @@ MAX_ENUMERATE_DIM = 144
 MAX_IDENTITY_WORK = 250_000
 
 
-def enumerate_semisimple_types(n: int, max_block=None):
+def enumerate_semisimple_types(n: int):
     """All block profiles of total dimension n, in a deterministic order.
 
-    Equivalently: multisets of positive integers whose squares sum to n,
-    optionally capped at ``max_block``.  n may not exceed
-    :data:`MAX_ENUMERATE_DIM`.
+    Equivalently: multisets of positive integers whose squares sum to n.
+    n may not exceed :data:`MAX_ENUMERATE_DIM`.
     """
     if n < 1:
         raise ValueError("dimension must be at least 1")
     if n > MAX_ENUMERATE_DIM:
         raise ValueError(f"dimension {n} is above the cap of {MAX_ENUMERATE_DIM}")
-    cap = isqrt(n) if max_block is None else min(int(max_block), isqrt(n))
     # an explicit stack of (remaining, largest part allowed, parts so far):
     # a recursive closure would be a reference cycle
     found = []
-    stack = [(n, cap, ())]
+    stack = [(n, isqrt(n), ())]
     while stack:
         remaining, max_part, parts = stack.pop()
         if remaining == 0:

@@ -4,9 +4,9 @@ Scalars a + b*i are stored as int triples (p + q*i)/d, so an operation is a
 few int products and one gcd.  Matrices are dense, but every elimination,
 from rref and kernels to ideal closures and presentation builds, runs through
 one exact kernel: an incremental echelon basis of sparse ``{key: scalar}``
-rows that visits only nonzero entries.  Subspaces are stored through their
-dense reduced row echelon basis, which makes subspace equality a plain data
-comparison.  No floating point.
+rows that visits only nonzero entries.  A subspace is stored as the fully
+reduced echelon that produced it, so subspace equality compares its sparse
+rows; the dense basis is a view built on first use.  No floating point.
 """
 
 from __future__ import annotations
@@ -282,29 +282,22 @@ class Matrix:
 
     def _reduced(self):
         if self._rref is None:
-            self._rref = _rref_rows(self.rows, self.ncols)
+            self._rref = _rref_rows((dict(enumerate(r)) for r in self.rows), self.ncols)
         return self._rref
 
     def rref(self):
         """Reduced row echelon form.  Returns ``(matrix, pivot_columns)``."""
-        rows, pivots = self._reduced()
-        return Matrix(rows), pivots
+        ech = self._reduced()
+        rows = ech.dense(self.ncols) + ((ZERO,) * self.ncols,) * (self.nrows - len(ech.rows))
+        return Matrix(rows), tuple(sorted(ech.rows))
 
     @property
     def rank(self) -> int:
-        return len(self._reduced()[1])
+        return len(self._reduced().rows)
 
     def kernel(self) -> "Subspace":
         """Right kernel, i.e. all v with M·v = 0."""
-        rows, pivots = self._reduced()
-        pivot_set = set(pivots)
-        vectors = []
-        for f in (c for c in range(self.ncols) if c not in pivot_set):
-            v = [ONE if c == f else ZERO for c in range(self.ncols)]
-            for r, p in enumerate(pivots):
-                v[p] = -rows[r][f]
-            vectors.append(v)
-        return Subspace.from_vectors(self.ncols, vectors)
+        return self._reduced().kernel(self.ncols)
 
     def mul_vec(self, vec):
         vec = _coerce_vector(vec)
@@ -330,14 +323,11 @@ class Matrix:
         if self.nrows != self.ncols:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
-        augmented = [
-            list(self.rows[i]) + [ONE if j == i else ZERO for j in range(n)]
-            for i in range(n)
-        ]
-        reduced, pivots = _rref_rows(augmented, 2 * n)
-        if len(pivots) < n or pivots[n - 1] != n - 1:
+        augmented = [{**dict(enumerate(row)), n + i: ONE} for i, row in enumerate(self.rows)]
+        rows = _rref_rows(augmented, 2 * n).rows
+        if any(p not in rows for p in range(n)):
             raise ZeroDivisionError("matrix is singular")
-        return Matrix([row[n:] for row in reduced[:n]])
+        return Matrix([[rows[p].get(n + j, ZERO) for j in range(n)] for p in range(n)])
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -406,88 +396,103 @@ class _Echelon:
         self.rows[p] = tail
         return {p: ONE, **tail}
 
-    def dense(self, ncols):
-        """Rows over keys ``0 .. ncols-1`` as dense tuples, and the pivots."""
-        pivots = tuple(sorted(self.rows))
-        return tuple(
-            tuple(ONE if k == p else self.rows[p].get(k, ZERO) for k in range(ncols))
-            for p in pivots
-        ), pivots
+    def vectors(self):
+        """The rows with their pivot's 1, as sparse dicts in pivot order."""
+        return [{p: ONE, **self.rows[p]} for p in sorted(self.rows)]
 
-    @classmethod
-    def of(cls, subspace):
-        """The kernel form of a subspace's rref basis."""
-        ech = cls()
-        for row, p in zip(subspace.basis, subspace.pivots):
-            ech.rows[p] = {k: c for k, c in enumerate(row) if c and k != p}
-        return ech
+    def dense(self, ncols):
+        """The rows of :meth:`vectors` as dense tuples over keys ``0 .. ncols-1``."""
+        return tuple(tuple(v.get(k, ZERO) for k in range(ncols)) for v in self.vectors())
+
+    def kernel(self, ncols):
+        """All v with r·v = 0 for each row r, over keys ``0 .. ncols-1``: per
+        free column f, 1 at f and, at each pivot, minus its row's entry at f."""
+        rows = self.rows
+        vectors = []
+        for f in (c for c in range(ncols) if c not in rows):
+            v = [ONE if c == f else ZERO for c in range(ncols)]
+            for p, row in rows.items():
+                v[p] = -row.get(f, ZERO)
+            vectors.append(v)
+        return Subspace.from_vectors(ncols, vectors)
 
 
 def _rref_rows(rows, ncols):
-    """Reduced row echelon form of dense rows: the rank rows in pivot order,
-    then zero rows up to ``len(rows)``, and the pivot columns."""
+    """The fully reduced echelon of sparse ``{column: scalar}`` rows."""
     ech = _Echelon()
-    rows = list(rows)
     for r in rows:
-        if len(ech.rows) < ncols:  # past full rank every row reduces to zero
-            ech.add({k: c for k, c in enumerate(r) if c})
-    reduced, pivots = ech.dense(ncols)
-    return reduced + ((ZERO,) * ncols,) * (len(rows) - len(pivots)), pivots
+        if len(ech.rows) == ncols:  # at full rank every further row reduces to zero
+            break
+        ech.add(r)
+    return ech
 
 
 class Subspace:
-    """A subspace of column vectors, canonically represented by rref rows."""
+    """A subspace of column vectors, stored as the fully reduced echelon that
+    produced it and no longer grows: its rows are the unique rref basis, which
+    equality compares, and ``basis`` and ``pivots`` are dense views of them."""
 
-    __slots__ = ("ambient_dim", "basis", "pivots")
+    __slots__ = ("ambient_dim", "echelon", "_basis")
 
-    def __init__(self, ambient_dim, basis, pivots):
+    def __init__(self, ambient_dim, echelon):
         self.ambient_dim = ambient_dim
-        self.basis = basis        # tuple of rref rows, no zero rows
-        self.pivots = pivots      # pivot column per basis row
+        self.echelon = echelon
+        self._basis = None
 
     @classmethod
     def from_vectors(cls, ambient_dim, vectors) -> "Subspace":
-        vectors = [_coerce_vector(v) for v in vectors]
-        for v in vectors:
-            if len(v) != ambient_dim:
-                raise ValueError("vector length does not match ambient dimension")
-        rows, pivots = _rref_rows(vectors, ambient_dim)
-        return cls(ambient_dim, rows[: len(pivots)], pivots)
+        vectors = [dict(enumerate(_coerce_vector(v))) for v in vectors]
+        if any(len(v) != ambient_dim for v in vectors):
+            raise ValueError("vector length does not match ambient dimension")
+        return cls(ambient_dim, _rref_rows(vectors, ambient_dim))
 
     @classmethod
     def zero(cls, ambient_dim) -> "Subspace":
-        return cls(ambient_dim, (), ())
+        return cls(ambient_dim, _Echelon())
 
     @classmethod
     def full(cls, ambient_dim) -> "Subspace":
         return cls.from_vectors(ambient_dim, Matrix.identity(ambient_dim).rows)
 
     @property
+    def basis(self):
+        """The rref basis as dense tuples, in pivot order, built on first use."""
+        if self._basis is None:
+            self._basis = self.echelon.dense(self.ambient_dim)
+        return self._basis
+
+    @property
+    def pivots(self):
+        """The pivot column of each basis row, ascending."""
+        return tuple(sorted(self.echelon.rows))
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.echelon.rows)
 
     def contains(self, vec) -> bool:
         vec = _coerce_vector(vec)
         if len(vec) != self.ambient_dim:
             raise ValueError("vector length does not match ambient dimension")
-        return not _Echelon.of(self).reduce(dict(enumerate(vec)))
+        return not self.echelon.reduce(dict(enumerate(vec)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis)
+        return self.join(other).dim == self.dim
 
     def join(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both operands (span of the union)."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return Subspace.from_vectors(self.ambient_dim, list(self.basis) + list(other.basis))
+        vectors = self.echelon.vectors() + other.echelon.vectors()
+        return Subspace(self.ambient_dim, _rref_rows(vectors, self.ambient_dim))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.echelon.rows == other.echelon.rows
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.pivots))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"

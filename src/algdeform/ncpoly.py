@@ -10,8 +10,8 @@ lexicographic), and the module ships a parser for the relation syntax
     factor := scalar | name | name '^' uint | 't' | 't' '^' uint | '(' expr ')'
 
 Juxtaposition without '*' is rejected so multi-character generator names stay
-unambiguous.  The name ``t`` is reserved for the parameter and ``i`` denotes
-the imaginary unit unless declared as a generator.
+unambiguous.  The names ``t`` and ``i`` are reserved for the parameter and
+the imaginary unit, so no generator may take them.
 """
 
 from __future__ import annotations
@@ -442,17 +442,24 @@ class _Parser:
             raise NcParseError(f"unexpected trailing input {value!r}", pos)
 
 
-def parse_ncpoly(src: str, generators) -> NcPoly:
-    """Parse relation text over the given generator names.
-
-    The name ``t`` may not be declared as a generator; declaring ``i``
-    shadows the imaginary unit.
-    """
+def _generator_names(generators):
+    """The names as a tuple; a repeated name, ``t`` or ``i`` is a ``ValueError``."""
     gens = tuple(generators)
     if len(set(gens)) != len(gens):
         raise ValueError("duplicate generator names")
-    if "t" in gens:
-        raise ValueError("'t' is reserved for the deformation parameter")
+    for name, meaning in (("t", "the deformation parameter"), ("i", "the imaginary unit")):
+        if name in gens:
+            raise ValueError(f"'{name}' is reserved for {meaning}")
+    return gens
+
+
+def parse_ncpoly(src: str, generators) -> NcPoly:
+    """Parse relation text over the given generator names.
+
+    The names ``t`` (the parameter) and ``i`` (the imaginary unit) may not
+    be declared as generators, so every printed polynomial parses back.
+    """
+    gens = _generator_names(generators)
     parser = _Parser(src, gens)
     poly = parser.parse_expr()
     parser.finish()

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Element, StructureAlgebra
+from .algebra import Element, StructureAlgebra, _combine, _support
 from .analysis import BlockProfile, enumerate_semisimple_types
 from .constructions import from_profile
 from .linalg import GaussianRational, _Echelon
@@ -82,15 +82,15 @@ def tower_bound(profile: BlockProfile) -> int:
 
 
 def _evaluate_words(alg, args, words):
-    """Evaluate monomial words at the arguments, sharing prefix products."""
+    """Sparse values of monomial words at sparse arguments, sharing prefix products."""
     # a loop: a recursive closure is a reference cycle, which would keep every
     # product alive until the cycle collector runs
-    memo = {(): alg.unit_element()}
+    memo = {(): dict(_support(alg.unit))}
     ordered = sorted(words, key=word_key)
     for w in ordered:
         for k in range(1, len(w) + 1):
             if w[:k] not in memo:
-                memo[w[:k]] = memo[w[:k - 1]] * args[w[k - 1]]
+                memo[w[:k]] = alg.sparse_multiply(memo[w[:k - 1]], args[w[k - 1]])
     return {w: memo[w] for w in ordered}
 
 
@@ -99,16 +99,11 @@ def family_span_dim(alg: StructureAlgebra, fam: WordFamily, args) -> int:
     args = list(args)
     if len(args) != fam.arity:
         raise ValueError(f"family has arity {fam.arity}, got {len(args)} arguments")
-    monomials = set()
-    for poly in fam.words:
-        monomials.update(poly.terms)
-    values = _evaluate_words(alg, args, monomials)
+    monomials = {w for poly in fam.words for w in poly.terms}
+    values = _evaluate_words(alg, [dict(_support(a.coords)) for a in args], monomials)
     span = _Echelon()
     for poly in fam.words:
-        total = alg.zero_element()
-        for w, c in poly.terms.items():
-            total = total + values[w] * c.constant_value()
-        span.add(dict(enumerate(total.coords)))
+        span.add(_combine((c.constant_value(), values[w].items()) for w, c in poly.terms.items()))
         if len(span.rows) == alg.dim:
             break
     return len(span.rows)

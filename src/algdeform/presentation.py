@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .algebra import Element, StructureAlgebra, _combine, _field, _json_array, _json_int
 from .linalg import ONE, ZERO, _Echelon
-from .ncpoly import NcPoly, parse_ncpoly, word_key, word_to_str
+from .ncpoly import NcPoly, _generator_names, parse_ncpoly, word_key, word_to_str
 
 
 class PresentationError(Exception):
@@ -68,11 +68,7 @@ class Presentation:
         if max_degree is not None:
             _json_int(max_degree, "max_degree")
         self.expected_dim = _json_int(expected_dim, "expected_dim")
-        self.generators = tuple(generators)
-        if len(set(self.generators)) != len(self.generators):
-            raise ValueError("duplicate generator names")
-        if "t" in self.generators:
-            raise ValueError("'t' is reserved for the deformation parameter")
+        self.generators = _generator_names(generators)
         rels = []
         for r in relations:
             if not isinstance(r, NcPoly):

@@ -404,11 +404,6 @@ class TestEnumeration:
         finally:
             gc.enable()
 
-    def test_max_block_cap(self):
-        profiles = enumerate_semisimple_types(12, max_block=2)
-        assert BlockProfile({3: 1, 1: 3}) not in profiles
-        assert len(profiles) == 4
-
     def test_dimension_consistency(self):
         for n in (1, 5, 9, 13):
             for p in enumerate_semisimple_types(n):

@@ -302,6 +302,14 @@ class TestMisshapenInput:
              "cannot read presentation {path}: max_degree must be a JSON integer, not 3.5"),
             ("build", {"generators": ["x"], "relations": ["x^2"]},
              'cannot read presentation {path}: missing field "expected_dim"'),
+            # ``i`` is the imaginary unit, so no generator may take the name
+            ("build", {"generators": ["x", "i"], "relations": ["x^2", "i^2"], "expected_dim": 3},
+             "cannot read presentation {path}: 'i' is reserved for the imaginary unit"),
+            ("obstruct", {"generators": ["x", "i"], "relations": [], "expected_dim": 3},
+             "cannot read presentation {path}: 'i' is reserved for the imaginary unit"),
+            ("scan", {"kind": "relations", "generators": ["i"], "relations": ["i^2 - t"],
+                      "expected_dim": 2},
+             "cannot read family {path}: 'i' is reserved for the imaginary unit"),
         ],
     )
     def test_exits_2_with_one_line_naming_the_field(self, tmp_path, command, doc, message):

@@ -18,6 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from algdeform import presentation
 from algdeform.algebra import ideal_closure
+from algdeform.analysis import centre
 from algdeform.constructions import (
     change_basis,
     direct_sum,
@@ -61,8 +62,11 @@ def dense_rref_rows(rows, ncols):
 
 
 def dense_span(n, vectors):
+    """The subspace whose echelon rows are the dense rref's, stored as they are."""
     rows, pivots = dense_rref_rows([[GaussianRational.coerce(c) for c in v] for v in vectors], n)
-    return Subspace(n, rows[: len(pivots)], pivots)
+    span = _Echelon()
+    span.rows = {p: {k: c for k, c in enumerate(row) if c and k != p} for row, p in zip(rows, pivots)}
+    return Subspace(n, span)
 
 
 def _basis_vector(n, i):
@@ -207,7 +211,9 @@ def matrices(draw):
 @given(matrices())
 def test_rref_rows_match_the_dense_oracle(case):
     rows, ncols = case
-    assert _rref_rows(rows, ncols) == dense_rref_rows(rows, ncols)
+    echelon = _rref_rows([dict(enumerate(r)) for r in rows], ncols)
+    padded = echelon.dense(ncols) + ((ZERO,) * ncols,) * (len(rows) - len(echelon.rows))
+    assert (padded, tuple(sorted(echelon.rows))) == dense_rref_rows(rows, ncols)
 
 
 @settings(max_examples=100, deadline=None)
@@ -236,9 +242,9 @@ def test_echelon_stays_fully_reduced_and_reduces_to_zero_exactly_on_the_span(cas
 
 
 def test_rows_past_full_rank_still_count_as_zero_rows():
-    reduced, pivots = _rref_rows(Matrix([[1, 2], [3, 4], [5, 6], [0, 0]]).rows, 2)
+    reduced, pivots = Matrix([[1, 2], [3, 4], [5, 6], [0, 0]]).rref()
     assert pivots == (0, 1)
-    assert reduced == ((ONE, ZERO), (ZERO, ONE), (ZERO, ZERO), (ZERO, ZERO))
+    assert reduced.rows == ((ONE, ZERO), (ZERO, ONE), (ZERO, ZERO), (ZERO, ZERO))
 
 
 # -- word keys: the presentation build -----------------------------------------
@@ -331,3 +337,70 @@ def test_closures_match_the_round_based_oracles(alg, data):
     assert generated_subalgebra_dim(alg, gens) == round_generated_subalgebra_dim(alg, gens)
     fam = tower_family(n)
     assert family_span_dim(alg, fam, gens) == dense_family_span_dim(alg, fam, gens)
+
+
+# -- subspace storage: the sparse echelon against the dense rref -----------------
+
+
+def dense_rank(n, vectors):
+    return len(dense_rref_rows(vectors, n)[1])
+
+
+@st.composite
+def respanned(draw):
+    """Dense rows and a second spanning set of their span: the rows scaled by
+    nonzero Gaussian scalars, with zero vectors, repeated rows and
+    combinations of rows mixed in, then shuffled."""
+    rows, ncols = draw(matrices())
+    other = [[x * c for c in r] for r, x in zip(rows, draw(
+        st.lists(gaussian().filter(bool), min_size=len(rows), max_size=len(rows))))]
+    for kind in draw(st.lists(st.sampled_from(["zero", "repeat", "combination"]), max_size=4)):
+        if kind == "zero" or not rows:
+            other.append([ZERO] * ncols)
+        elif kind == "repeat":
+            other.append(list(draw(st.sampled_from(rows))))
+        else:
+            x, y = draw(gaussian()), draw(gaussian())
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            other.append([x * p + y * q for p, q in zip(a, b)])
+    return rows, draw(st.permutations(other)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(respanned())
+def test_spanning_sets_of_one_span_store_one_subspace(case):
+    rows, other, ncols = case
+    a, b = Subspace.from_vectors(ncols, rows), Subspace.from_vectors(ncols, other)
+    assert a == b and hash(a) == hash(b)
+    reduced, pivots = dense_rref_rows(rows, ncols)
+    for s in (a, b):
+        assert s.basis == reduced[: len(pivots)]
+        assert s.pivots == pivots and s.dim == len(pivots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_membership_and_join_match_the_dense_rref(case, data):
+    rows, ncols = case
+    others = data.draw(st.lists(st.lists(gaussian(), min_size=ncols, max_size=ncols), max_size=3))
+    if rows and data.draw(st.booleans()):  # a combination of the rows: inside
+        others.append([sum((data.draw(gaussian()) * r[k] for r in rows), ZERO) for k in range(ncols)])
+    s, t = Subspace.from_vectors(ncols, rows), Subspace.from_vectors(ncols, others)
+    rank = dense_rank(ncols, rows)
+    for v in others:
+        assert s.contains(v) == (dense_rank(ncols, rows + [v]) == rank)
+    assert s.contains_subspace(t) == (dense_rank(ncols, rows + others) == rank)
+    reduced, pivots = dense_rref_rows(rows + others, ncols)
+    joined = s.join(t)
+    assert (joined.basis, joined.pivots) == (reduced[: len(pivots)], pivots)
+    assert joined == t.join(s)
+
+
+@settings(max_examples=25, deadline=None)
+@given(scrambled(), st.data())
+def test_closures_and_centres_store_their_canonical_echelon(alg, data):
+    n = alg.dim
+    seed = Subspace.from_vectors(n, [_vector(data.draw, n) for _ in range(data.draw(st.integers(0, 2)))])
+    for s in (ideal_closure(alg, seed), centre(alg)):
+        again = Subspace.from_vectors(n, s.basis)
+        assert s == again and hash(s) == hash(again)

@@ -80,6 +80,13 @@ def test_reserved_and_duplicate_generator_names():
         parse_ncpoly("x", ("x", "x"))
 
 
+def test_generator_named_i_is_refused():
+    # declared, ``i`` would read back the printed scalar i as a word
+    with pytest.raises(ValueError, match="'i' is reserved for the imaginary unit"):
+        parse_ncpoly("i*x", ("x", "i"))
+    assert parse_ncpoly("i*x", ("x",)) == NcPoly(("x",), {(0,): TPoly.const(GaussianRational(0, 1))})
+
+
 def test_multiply_single_words():
     x = NcPoly.generator(XY, 0)
     y = NcPoly.generator(XY, 1)

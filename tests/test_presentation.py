@@ -124,6 +124,11 @@ class TestErrors:
         with pytest.raises(NotClosedError):
             build(presentation(XY, ["x*y - y", "y*x - x"], 3, max_degree=2))
 
+    def test_generator_named_i_is_refused(self):
+        # no relation needs parsing: the constructor checks the names itself
+        with pytest.raises(ValueError, match="'i' is reserved for the imaginary unit"):
+            Presentation(("x", "i"), [], 3)
+
     def test_max_degree_is_capped(self):
         with pytest.raises(ValueError, match="above the cap"):
             presentation(XY, ACON_RELATIONS, 12, max_degree=MAX_DEGREE + 1)

@@ -32,7 +32,7 @@ from algdeform.deformation import (
     dual_number_family,
     trace_form_determinant,
 )
-from algdeform.linalg import ONE, ZERO, GaussianRational, Matrix, Subspace, _Echelon
+from algdeform.linalg import ONE, ZERO, GaussianRational, Matrix, Subspace
 from algdeform.ncpoly import TPoly
 
 CORPUS = (
@@ -442,7 +442,7 @@ def dense_specialize(fam, s):
 def dense_quotient(alg, ideal):
     """``_project`` as it was: the quotient by a known ideal, and the
     projection matrix, from dense residues."""
-    span = _Echelon.of(ideal)
+    span = ideal.echelon
     if ideal.dim and not span.reduce(dict(enumerate(alg.unit))):
         raise UnitInIdealError("ideal contains the unit; quotient would be the zero ring")
     n = alg.dim

@@ -36,7 +36,7 @@ def test_family_json_round_trip(fam):
     assert again.validate().failures() == fam.validate().failures()
 
 
-GENERATORS = ("x", "y", "ab", "z1")  # not "t", and not "i", which would shadow the imaginary unit
+GENERATORS = ("x", "y", "ab", "z1")  # "t" and "i" are reserved for the parameter and imaginary unit
 ratios = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 gaussians = st.builds(GaussianRational, ratios, st.one_of(st.just(0), ratios))
 coefficients = st.lists(gaussians, min_size=1, max_size=3).map(TPoly)
