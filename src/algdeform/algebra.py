@@ -328,10 +328,6 @@ def _read_table(data, depth):
     if not isinstance(data, dict):
         raise ValueError("a table file must hold a JSON object")
     n = _json_int(_field(data, "dim"), "dim")
-    labels = data.get("labels")
-    labels = _json_array(labels, "labels") if labels else [f"d{i}" for i in range(n)]
-    if len(labels) != n:
-        raise ValueError("label count does not match dim")
     scalars = {}
 
     def literal(text):
@@ -341,6 +337,12 @@ def _read_table(data, depth):
         return x
 
     table = _read_array(_field(data, "table"), "table", depth, literal)
+    if len(table) != n:  # before any default label: dim may be huge
+        raise ValueError("structure tensor has wrong shape")
+    labels = data.get("labels")
+    labels = _json_array(labels, "labels") if labels else [f"d{i}" for i in range(n)]
+    if len(labels) != n:
+        raise ValueError("label count does not match dim")
     return labels, table, _read_array(_field(data, "unit"), "unit", 1, literal)
 
 
@@ -389,8 +391,10 @@ def _combine(terms):
 
 def _product(sparse, a, b):
     """a·b for vectors given as nonzero ``(index, scalar)`` pairs; ``b`` is
-    iterated once per pair of ``a``."""
-    return _combine((ai * bj, sparse[i][j]) for i, ai in a for j, bj in b)
+    iterated once per pair of ``a``.  A pair whose table entry e_i·e_j is
+    empty is skipped before its coefficient ai·bj is formed."""
+    return _combine((ai * bj, entry) for i, ai in a for row in (sparse[i],)
+                    for j, bj in b if (entry := row[j]))
 
 
 def _trace_vector(sparse, zero):

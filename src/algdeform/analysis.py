@@ -109,7 +109,8 @@ def standard_identity_values(alg: StructureAlgebra, m: int):
                 if sub:
                     row = rows[bit.bit_length() - 1]
                     negate = position % 2
-                    terms.extend((-v if negate else v, row[l]) for l, v in sub.items())
+                    terms.extend((-v if negate else v, entry)
+                                 for l, v in sub.items() if (entry := row[l]))
                 position += 1
             table[mask] = _combine(terms)
         top = table[(1 << k) - 1]

@@ -223,7 +223,7 @@ def _resolve_generators(args, selector: str):
     names = [s.strip() for s in selector.split(",")]
     if len(names) != 2:
         raise InputError("need exactly two generator names, e.g. --generators x,y")
-    if "generators" in data:
+    if isinstance(data, dict) and "generators" in data:
         result = _build(path, args.max_degree, data)
         try:
             gx = result.generator_element(names[0])

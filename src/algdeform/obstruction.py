@@ -132,6 +132,11 @@ def generated_subalgebra_dim(alg: StructureAlgebra, elements) -> int:
     return len(span.rows)
 
 
+# Most sampling trials ``admissible_targets`` runs per profile: each trial
+# evaluates the whole tower in the profile's model algebra.
+MAX_TRIALS = 1000
+
+
 def sampled_lower_bound(profile: BlockProfile, fam: WordFamily, trials: int = 50,
                         seed: int = 0) -> int:
     """Best family span seen over random arguments in the profile's model algebra.
@@ -218,9 +223,12 @@ def admissible_targets(alg: StructureAlgebra, gen_x: Element, gen_y: Element,
     span of the depth-n tower at (gen_x, gen_y) is compared against each
     profile's certified bound: a profile is Excluded when its bound is
     smaller than the span achieved, which for a full span d = n rules out
-    exactly the profiles containing a block of size 3 or larger.  A dimension
-    past the enumeration cap raises ``ValueError`` before any product.
+    exactly the profiles containing a block of size 3 or larger.  A trial
+    count above :data:`MAX_TRIALS` or a dimension past the enumeration cap
+    raises ``ValueError`` before any product.
     """
+    if trials > MAX_TRIALS:
+        raise ValueError(f"trial count {trials} is above the cap of {MAX_TRIALS}")
     n = alg.dim
     profiles = enumerate_semisimple_types(n)
     reached = generated_subalgebra_dim(alg, [gen_x, gen_y])

@@ -109,6 +109,8 @@ def _read_presentation(data):
     """Generators, parsed relations, expected dim and max degree of a
     presentation document; generators and relations are arrays of strings.
     The constructors check that the dimension and degree are integers."""
+    if not isinstance(data, dict):
+        raise ValueError("a presentation file must hold a JSON object")
     gens = tuple(_json_array(_field(data, "generators"), "generators", strings=True))
     sources = _json_array(_field(data, "relations"), "relations", strings=True)
     rels = [parse_ncpoly(src, gens) for src in sources]

@@ -20,7 +20,9 @@ def random_table(n, seed, entry=str):
     ]
 
 
-def run_cli(*argv, cwd=None):
+def run_cli(*argv, cwd=None, **kwargs):
+    """``python -m algdeform *argv`` on this checkout; ``kwargs`` go to
+    ``subprocess.run``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src") + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
@@ -28,6 +30,7 @@ def run_cli(*argv, cwd=None):
         capture_output=True,
         env=env,
         cwd=cwd or REPO,
+        **kwargs,
     )
 
 
@@ -310,6 +313,11 @@ class TestMisshapenInput:
             ("scan", {"kind": "relations", "generators": ["i"], "relations": ["i^2 - t"],
                       "expected_dim": 2},
              "cannot read family {path}: 'i' is reserved for the imaginary unit"),
+            # a document that is not an object
+            ("obstruct", None, "cannot read algebra {path}: a table file must hold a JSON object"),
+            ("obstruct", 5, "cannot read algebra {path}: a table file must hold a JSON object"),
+            ("build", ["x"], "cannot read presentation {path}: a presentation file must hold a "
+                             "JSON object"),
         ],
     )
     def test_exits_2_with_one_line_naming_the_field(self, tmp_path, command, doc, message):
@@ -318,6 +326,50 @@ class TestMisshapenInput:
         proc = run_cli(command, "--input", str(path))
         assert proc.returncode == 2
         assert proc.stderr.decode("utf-8").splitlines() == ["error: " + message.format(path=path)]
+
+    def test_huge_dim_without_labels_exits_2_at_once(self, tmp_path):
+        """No default label is made for a dim the table does not have: 10^12
+        of them would take all memory, so the run is held to 1 GB and 30 s."""
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"dim": 10 ** 12, "unit": ["1", "0"], "table": DUAL_TABLE}))
+        proc = run_cli("analyze", "--input", str(path), timeout=30, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            f"error: cannot read algebra {path}: structure tensor has wrong shape"
+        ]
+
+    def test_trials_above_the_cap_exit_2(self):
+        from algdeform.obstruction import MAX_TRIALS
+
+        proc = run_cli(
+            "obstruct", "--input", str(DATA / "contraction_dim12.json"), "--trials", "100000000",
+            timeout=60,  # uncapped, the run would not end
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            f"error: trial count 100000000 is above the cap of {MAX_TRIALS}"
+        ]
+
+    def test_trials_cap_is_checked_before_any_sampling(self, m2_algebra, monkeypatch, capsys):
+        from algdeform import cli, obstruction
+
+        def no_work(*args):
+            raise AssertionError("work was done past the cap")
+
+        monkeypatch.setattr(obstruction, "MAX_TRIALS", 3)
+        monkeypatch.setattr(obstruction, "generated_subalgebra_dim", no_work)
+        monkeypatch.setattr(obstruction, "sampled_lower_bound", no_work)
+        code = cli.main(["obstruct", "--input", str(m2_algebra),
+                         "--generators", "0,1,1,0;1,0,0,0", "--trials", "4"])
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: trial count 4 is above the cap of 3"]
 
 
 class TestObstruct:

@@ -2,9 +2,10 @@ import gc
 
 import pytest
 
-from algdeform.analysis import BlockProfile
+from algdeform.analysis import BlockProfile, enumerate_semisimple_types
 from algdeform.constructions import (
     dual_numbers,
+    from_profile,
     matrix_unit_algebra,
     scalar_field,
 )
@@ -251,6 +252,39 @@ class TestSampledLowerBound:
             BlockProfile({2: 1, 1: 4}),
         ):
             assert sampled_lower_bound(profile, fam, 10, 0) <= tower_bound(profile)
+
+
+def tower_witness(profile):
+    """The model algebra of ``profile`` with x block-diagonal with distinct
+    diagonal entries 1, 2, ... and y the sum over blocks of the all-ones
+    matrix J_b.  The model is the direct sum of the blocks in ascending size,
+    each on its matrix units e_rc in row-major order."""
+    model = from_profile(profile)
+    x = [0] * model.dim
+    y = [0] * model.dim
+    offset = diagonal = 0
+    for j in sorted(profile.counts):
+        for _ in range(profile.counts[j]):
+            for r in range(j):
+                diagonal += 1
+                x[offset + r * j + r] = diagonal
+            y[offset:offset + j * j] = [1] * (j * j)
+            offset += j * j
+    return model, model.element(x), model.element(y)
+
+
+class TestTowerWitness:
+    """The integer witness attains the certified ceiling on every profile, so
+    the sampled bound can only fall short of it."""
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_witness_spans_the_tower_bound(self, n):
+        fam = tower_family(n)
+        for profile in enumerate_semisimple_types(n):
+            model, x, y = tower_witness(profile)
+            bound = tower_bound(profile)
+            assert family_span_dim(model, fam, [x, y]) == bound, str(profile)
+            assert sampled_lower_bound(profile, fam, trials=3) <= bound, str(profile)
 
 
 class TestGeneration:
