@@ -8,7 +8,8 @@ differ by (number of j-blocks) * j^2.  ``block_profile`` does not evaluate
 those identities: the centre has one dimension per block, and on it the
 trace of the algebra is j^2 times the trace of the centre on each block's
 idempotent, so ranks of two small Gram matrices count the j-blocks.  The
-filtration dimensions then follow from the profile.
+filtration dimensions then follow from the profile, as its
+``filtration_dims``.
 """
 
 from algdeform import (
@@ -39,14 +40,14 @@ print("its ideal closure:", identity_ideal(m2, 1).dim, "(M2 is simple)")
 print("degree-4 identity span in M2:", identity_span(m2, 2).dim)
 
 alg = direct_sum(m2, scalar_field())
-profile, filtration = block_profile(alg)
+profile = block_profile(alg)
 print("\nM2 + scalars: centre dim", centre(alg).dim, "(one per block)")
-print("  profile", profile, "-> filtration dims", filtration.dims)
+print("  profile", profile, "-> filtration dims", profile.filtration_dims)
 print("  check: degree-2 identity ideal", identity_ideal(alg, 1).dim, "(the M2 block)")
 
 # non-semisimple input is profiled through its semisimplification
 ut = upper_triangular_algebra(2)
-profile, _ = block_profile(ut)
+profile = block_profile(ut)
 print("upper-triangular 2x2: radical dim", radical(ut).dim,
       "-> semisimplification profile", profile)
 

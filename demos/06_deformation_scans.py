@@ -10,9 +10,9 @@ stable target, it cannot certify one.
 
 from fractions import Fraction
 
-from algdeform import BlockProfile, compare_targets, radical, scan, trace_form_determinant
+from algdeform import radical, scan, trace_form_determinant
 from algdeform.constructions import dual_numbers, matrix_unit_algebra
-from algdeform.deformation import SampledFamily, constant_family, dual_number_family
+from algdeform.deformation import STABLE, SampledFamily, constant_family, dual_number_family
 from algdeform.ncpoly import parse_ncpoly
 
 # the family 1, x with x*x = t: degenerate at t = 0, split for every t != 0
@@ -31,14 +31,13 @@ for row in result.samples[:3]:
     print(f"  s = {row.s}: semisimple={row.semisimple}, profile={row.profile}")
 print("  ...")
 print("verdict:", result.verdict)
+# a stable verdict names the target up to isomorphism: its block profile
+if result.verdict.kind == STABLE:
+    print("stable target:", result.verdict.profile, "from k =", result.verdict.start_index)
 
 # the exceptional parameter values are the roots of one polynomial
 det = trace_form_determinant(fam)
 print("\ntrace-form determinant in t:", det, "(vanishes only at t = 0)")
-
-# matching the stable profile against candidate targets
-comparison = compare_targets(result, [BlockProfile({1: 2})])
-print("target comparison:", [(str(p), m) for p, m in comparison.rows])
 
 # a constant family never moves; the dual numbers stay degenerate everywhere
 stuck = scan(constant_family(dual_numbers()), Fraction(1, 2), 6)

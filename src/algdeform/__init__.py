@@ -36,7 +36,6 @@ _EXPORTS = {
     "algebra": ("Element", "StructureAlgebra", "ideal_closure", "quotient"),
     "analysis": (
         "BlockProfile",
-        "FiltrationReport",
         "block_profile",
         "enumerate_semisimple_types",
         "identity_ideal",
@@ -48,7 +47,6 @@ _EXPORTS = {
         "DeformationFamily",
         "SampledFamily",
         "ScanResult",
-        "compare_targets",
         "constant_family",
         "scan",
         "trace_form_determinant",

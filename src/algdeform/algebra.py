@@ -328,6 +328,8 @@ def _read_table(data, depth):
     if not isinstance(data, dict):
         raise ValueError("a table file must hold a JSON object")
     n = _json_int(_field(data, "dim"), "dim")
+    if n < 1:  # the zero ring: no quotient or presentation gives it
+        raise ValueError("dim must be at least 1")
     scalars = {}
 
     def literal(text):

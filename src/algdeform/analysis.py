@@ -4,11 +4,13 @@ The Jacobson radical is computed as the kernel of the trace form of the left
 regular representation (valid in characteristic zero).  Block profiles over
 the algebraic closure are read off the centre of the semisimple quotient:
 the centre has one dimension per block, and comparing two trace forms on it
-gives the number of blocks of each size by rank computations alone.  The
-identity-ideal filtration dimensions then follow from Amitsur-Levitzki.
-The standard-identity spans and ideals themselves are still available, at
-exponential cost in the degree.  Everything is computed over the Gaussian
-rationals; ranks and span dimensions agree with those over the closure.
+gives the number of blocks of each size by rank computations alone.
+``block_profile`` returns that profile; the identity-ideal filtration
+dimensions follow from it by Amitsur-Levitzki, as
+``BlockProfile.filtration_dims``.  The standard-identity spans and ideals
+themselves are still available, at exponential cost in the degree.
+Everything is computed over the Gaussian rationals; ranks and span
+dimensions agree with those over the closure.
 
 The trace form, the centre's commutator system and structure constants and
 the standard-identity products read the sparse structure tensor only;
@@ -155,6 +157,19 @@ class BlockProfile:
     def dimension(self) -> int:
         return sum(c * j * j for j, c in self.counts.items())
 
+    @property
+    def filtration_dims(self):
+        """dims[m] = sum of c_j * j^2 over j > m, for m = 0..isqrt(dimension).
+
+        By Amitsur-Levitzki this is the dimension of the ideal generated by
+        the degree-2m standard identity on a semisimple algebra of this
+        profile (dims[0] is the whole algebra); it reaches 0 at the top m.
+        """
+        return tuple(
+            sum(c * j * j for j, c in self.counts.items() if j > m)
+            for m in range(isqrt(self.dimension) + 1)
+        )
+
     def blocks(self):
         """Block sizes with multiplicity, descending."""
         out = []
@@ -184,26 +199,6 @@ class BlockProfile:
     @classmethod
     def from_json_dict(cls, data) -> "BlockProfile":
         return cls({int(j): int(c) for j, c in data.items()})
-
-
-class FiltrationReport:
-    """Dimensions of the identity-ideal chain and its layer differences.
-
-    ``dims[m]`` is the dimension of the ideal generated by the degree-2m
-    standard identity values (with dims[0] the whole algebra); semisimple
-    algebras reach 0 at m = floor(sqrt(dim)).
-    """
-
-    __slots__ = ("dims", "layer_dims")
-
-    def __init__(self, dims):
-        self.dims = tuple(dims)
-        self.layer_dims = tuple(
-            self.dims[j - 1] - self.dims[j] for j in range(1, len(self.dims))
-        )
-
-    def __repr__(self):
-        return f"FiltrationReport(dims={list(self.dims)})"
 
 
 def centre(alg: StructureAlgebra) -> Subspace:
@@ -252,10 +247,9 @@ def block_profile(alg: StructureAlgebra, rad: Subspace = None):
     G[a][b] = trace of z_a z_b on S and H[a][b] = trace of z_a z_b on Z.  In
     the block idempotents e_b they are diag(j_b^2) and the identity, so the
     number of j-blocks is B - rank(G - j^2 H); no roots or inverses are
-    needed.  The counts are certified against B and dim S.  The filtration
-    dimensions follow from Amitsur-Levitzki: the ideal generated by the
-    degree-2m standard identity is the sum of the blocks larger than m.
-    Returns ``(profile, filtration_report)``.
+    needed.  The counts are certified against B and dim S.  Returns the
+    :class:`BlockProfile`; its ``filtration_dims`` are the identity-ideal
+    dimensions of S.
     """
     if rad is None:
         rad = radical(alg)
@@ -275,25 +269,21 @@ def block_profile(alg: StructureAlgebra, rad: Subspace = None):
         ]
 
     g_form, h_form = form(on_s), form(on_z)
-    top = isqrt(n)
     counts = {}
-    for j in range(1, top + 1):
+    for j in range(1, isqrt(n) + 1):
         shifted = Matrix(
             [[g - j * j * h for g, h in zip(gr, hr)] for gr, hr in zip(g_form, h_form)]
         )
         c = blocks - shifted.rank
         if c:
             counts[j] = c
-    if (
-        sum(counts.values()) != blocks
-        or sum(c * j * j for j, c in counts.items()) != n
-    ):
+    profile = BlockProfile(counts)
+    if sum(counts.values()) != blocks or profile.dimension != n:
         raise NonIntegralLayerError(
             f"centre of dimension {blocks} gives block counts {counts}, "
             f"which do not fill dimension {n}; input table is not valid"
         )
-    dims = [sum(c * j * j for j, c in counts.items() if j > m) for m in range(top + 1)]
-    return BlockProfile(counts), FiltrationReport(dims)
+    return profile
 
 
 # Largest dimension whose block profiles are enumerated.  Their number grows

@@ -94,15 +94,14 @@ def _emit(args, document: dict, text_lines):
 
 def _build(path: Path, max_degree=None, data=None):
     """Build the algebra of a presentation file, or of its parsed ``data``."""
-    from .presentation import Presentation, PresentationError, build
+    from .presentation import Presentation, PresentationError, _read_presentation, build
 
     try:
         if data is None:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        if max_degree is not None:
-            data["max_degree"] = max_degree
-        pres = Presentation.from_json_dict(data)
+        *fields, degree = _read_presentation(data)
+        pres = Presentation(*fields, degree if max_degree is None else max_degree)
     except (OSError, ValueError, KeyError, TypeError) as err:
         raise InputError(f"cannot read presentation {path}: {err}") from err
     try:
@@ -149,14 +148,14 @@ def cmd_build(args) -> int:
 def cmd_analyze(args) -> int:
     alg = _load_algebra(args.input)
     rad = radical(alg)
-    profile, filtration = block_profile(alg, rad)
+    profile = block_profile(alg, rad)
     semisimple = rad.dim == 0
     document = {
         "dim": alg.dim,
         "radical_dim": rad.dim,
         "semisimple": semisimple,
         "profile": profile.to_json_dict(),
-        "filtration_dims": list(filtration.dims),
+        "filtration_dims": list(profile.filtration_dims),
     }
     scope = "" if semisimple else " (of the semisimplification)"
     lines = [
@@ -164,7 +163,7 @@ def cmd_analyze(args) -> int:
         f"radical dim: {rad.dim}",
         f"semisimple: {'yes' if semisimple else 'no'}",
         f"profile{scope}: {profile}",
-        f"filtration dims: {', '.join(str(d) for d in filtration.dims)}",
+        f"filtration dims: {', '.join(str(d) for d in profile.filtration_dims)}",
     ]
     _emit(args, document, lines)
     return 0
@@ -225,19 +224,18 @@ def _resolve_generators(args, selector: str):
         raise InputError("need exactly two generator names, e.g. --generators x,y")
     if isinstance(data, dict) and "generators" in data:
         result = _build(path, args.max_degree, data)
-        try:
-            gx = result.generator_element(names[0])
-            gy = result.generator_element(names[1])
-        except ValueError as err:
-            raise InputError(f"unknown generator name: {err}") from err
-        return result.algebra, gx, gy
-    alg = _load_algebra(path, data)
-    try:
-        gx = alg.basis_element(alg.labels.index(names[0]))
-        gy = alg.basis_element(alg.labels.index(names[1]))
-    except ValueError as err:
-        raise InputError(f"label not found in algebra file: {err}") from err
-    return alg, gx, gy
+        alg, offered, what = result.algebra, result.generators, "generator"
+        element = result.generator_element
+    else:
+        alg = _load_algebra(path, data)
+        offered, what = alg.labels, "label"
+        element = lambda name: alg.basis_element(offered.index(name))  # noqa: E731
+    for name in names:
+        if name not in offered:
+            raise InputError(
+                f"no {what} {name!r} in {path}; its {what}s are {', '.join(map(str, offered))}"
+            )
+    return alg, element(names[0]), element(names[1])
 
 
 def cmd_obstruct(args) -> int:

@@ -280,7 +280,6 @@ def scan(family, base, count=12) -> ScanResult:
         else:
             alg = family.specialize(s)
         rad = radical(alg)
-        profile, _ = block_profile(alg, rad)
         samples.append(
             ScanSample(
                 k,
@@ -288,7 +287,7 @@ def scan(family, base, count=12) -> ScanResult:
                 dim=alg.dim,
                 semisimple=rad.dim == 0,
                 radical_dim=rad.dim,
-                profile=profile,
+                profile=block_profile(alg, rad),
             )
         )
     return ScanResult(samples, _verdict(samples, expected_dim))
@@ -310,57 +309,6 @@ def _verdict(samples, expected_dim) -> ScanVerdict:
                 break
         return ScanVerdict(STABLE, last.profile, start)
     return ScanVerdict(MIXED)
-
-
-class TargetComparison:
-    """Which candidate profiles match the scan's stable profile."""
-
-    __slots__ = ("stable_profile", "rows", "note")
-
-    def __init__(self, stable_profile, rows, note):
-        self.stable_profile = stable_profile
-        self.rows = tuple(rows)
-        self.note = note
-
-    @property
-    def matches(self):
-        return tuple(p for p, matched in self.rows if matched)
-
-    @property
-    def unique(self) -> bool:
-        return len(set(self.matches)) == 1
-
-    def to_json_dict(self) -> dict:
-        return {
-            "stable_profile": (
-                self.stable_profile.to_json_dict() if self.stable_profile else None
-            ),
-            "targets": [
-                {"profile": str(p), "match": matched} for p, matched in self.rows
-            ],
-            "note": self.note,
-        }
-
-
-def compare_targets(result: ScanResult, targets) -> TargetComparison:
-    """Mark the candidate profiles equal to the scan's stable profile.
-
-    Isomorphism of semisimple algebras over the closure is equality of block
-    profiles, and a deformation family determines at most one stable target,
-    so at most one distinct profile can match.
-    """
-    if result.verdict.kind != STABLE:
-        return TargetComparison(
-            None, [(p, False) for p in targets], "no stable target on this schedule"
-        )
-    stable = result.verdict.profile
-    rows = [(p, p == stable) for p in targets]
-    matched = [p for p, m in rows if m]
-    if not matched:
-        note = "stable profile is absent from the candidate list"
-    else:
-        note = "exactly one candidate matches" if len(set(matched)) == 1 else ""
-    return TargetComparison(stable, rows, note)
 
 
 def trace_form_determinant(family: DeformationFamily) -> TPoly:

@@ -11,7 +11,8 @@ lexicographic), and the module ships a parser for the relation syntax
 
 Juxtaposition without '*' is rejected so multi-character generator names stay
 unambiguous.  The names ``t`` and ``i`` are reserved for the parameter and
-the imaginary unit, so no generator may take them.
+the imaginary unit, so no generator may take them.  A generator or ``t``
+exponent may not exceed :data:`MAX_DEGREE`; ``i^k`` is read as i^(k mod 4).
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from fractions import Fraction
 from .linalg import ZERO, GaussianRational
 
 Word = tuple  # tuple of generator indices; the empty tuple is the monomial 1
+
+# Highest truncation degree a presentation build may be given, and so the
+# highest exponent of a generator or of t in relation text: a longer word can
+# never enter a build.
+MAX_DEGREE = 64
 
 
 def word_key(w):
@@ -411,13 +417,13 @@ class _Parser:
         if kind == "name":
             self.advance()
             if value == "t":
-                k = self.parse_exponent()
+                k = self.parse_exponent(MAX_DEGREE)
                 return NcPoly(self.gens, {(): TPoly.t_power(k)})
             if value in self.index:
-                k = self.parse_exponent()
+                k = self.parse_exponent(MAX_DEGREE)
                 return NcPoly(self.gens, {(self.index[value],) * k: TPOLY_ONE})
             if value == "i":
-                k = self.parse_exponent()
+                k = self.parse_exponent() % 4
                 return NcPoly(self.gens, {(): TPoly.const(GaussianRational(0, 1) ** k)})
             raise NcParseError(f"unknown generator {value!r}", pos)
         if kind == "(":
@@ -427,13 +433,16 @@ class _Parser:
             return inner
         raise NcParseError("expected a scalar, generator, 't', or '('", pos)
 
-    def parse_exponent(self) -> int:
+    def parse_exponent(self, cap=None) -> int:
+        """The exponent after '^' (1 if there is none), at most ``cap``."""
         if self.peek()[0] != "^":
             return 1
         self.advance()
         kind, value, pos = self.advance()
         if kind != "num":
             raise NcParseError("expected a nonnegative integer exponent", pos)
+        if cap is not None and value > cap:
+            raise NcParseError(f"exponent {value} is above the cap of {cap}", pos)
         return value
 
     def finish(self):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .algebra import Element, StructureAlgebra, _combine, _field, _json_array, _json_int
 from .linalg import ONE, ZERO, _Echelon
-from .ncpoly import NcPoly, _generator_names, parse_ncpoly, word_key, word_to_str
+from .ncpoly import MAX_DEGREE, NcPoly, _generator_names, parse_ncpoly, word_key, word_to_str
 
 
 class PresentationError(Exception):
@@ -46,9 +46,14 @@ class NotClosedError(PresentationError):
     """Multiplication does not close on the stabilized basis; the cap is too low."""
 
 
-# Highest truncation degree a build may be given.  A build walks every word
-# up to that degree, g^degree of them for g generators.
-MAX_DEGREE = 64
+# Most words a build may walk: every word of length at most max_degree,
+# sum of g^d over d <= max_degree for g generators.  The 12-dimensional
+# contraction algebra's default (g = 2, max_degree 14) walks 32767.
+MAX_WORDS = 1 << 15
+
+
+def _word_count(g, degree):
+    return sum(g ** d for d in range(degree + 1))
 
 
 class Presentation:
@@ -57,9 +62,9 @@ class Presentation:
     ``max_degree`` caps the truncation degree; the default doubles the longest
     relation degree plus two, which is ample for presentations whose quotient
     basis words are no longer than the relations themselves.  A given value
-    may not exceed :data:`MAX_DEGREE`, and the default is cut down to it.
-    Both numbers must be ``int`` (not bool, str or float), as in the file
-    format.
+    may not exceed :data:`MAX_DEGREE` (``ncpoly.MAX_DEGREE``), nor walk more
+    than :data:`MAX_WORDS` words; the default is cut down to fit both.  Both
+    numbers must be ``int`` (not bool, str or float), as in the file format.
     """
 
     __slots__ = ("generators", "relations", "expected_dim", "max_degree")
@@ -83,14 +88,23 @@ class Presentation:
         self.relations = tuple(rels)
         if self.expected_dim < 1:
             raise ValueError("expected_dim must be at least 1")
+        g = len(self.generators)
         if max_degree is None:
             longest = max((r.degree for r in rels), default=1)
             max_degree = min(2 * longest + 2, MAX_DEGREE)
+            while max_degree > 1 and _word_count(g, max_degree) > MAX_WORDS:
+                max_degree -= 1
         self.max_degree = max_degree
         if self.max_degree < 1:
             raise ValueError("max_degree must be at least 1")
         if self.max_degree > MAX_DEGREE:
             raise ValueError(f"max_degree {self.max_degree} is above the cap of {MAX_DEGREE}")
+        words = _word_count(g, self.max_degree)
+        if words > MAX_WORDS:
+            raise ValueError(
+                f"max_degree {self.max_degree} walks {words} words over {g} generators, "
+                f"above the cap of {MAX_WORDS}"
+            )
 
     def to_json_dict(self) -> dict:
         return {

@@ -188,27 +188,30 @@ class TestIdentitySpan:
 
 class TestBlockProfile:
     def test_m2(self):
-        profile, report = block_profile(matrix_unit_algebra(2))
+        profile = block_profile(matrix_unit_algebra(2))
         assert profile == BlockProfile({2: 1})
-        assert report.dims == (4, 4, 0)
+        assert profile.filtration_dims == (4, 4, 0)
 
     def test_m2_plus_field(self):
-        profile, report = block_profile(direct_sum(matrix_unit_algebra(2), scalar_field()))
+        profile = block_profile(direct_sum(matrix_unit_algebra(2), scalar_field()))
         assert profile == BlockProfile({1: 1, 2: 1})
-        assert report.dims == (5, 4, 0)
+        assert profile.filtration_dims == (5, 4, 0)
 
     def test_non_semisimple_uses_semisimplification(self):
-        profile, _ = block_profile(upper_triangular_algebra(2))
+        profile = block_profile(upper_triangular_algebra(2))
         assert profile == BlockProfile({1: 2})
 
     def test_profile_oracle_all_multisets_up_to_14(self):
         for n in range(1, 15):
             for target in enumerate_semisimple_types(n):
                 alg = from_block_sizes(target.blocks())
-                profile, report = block_profile(alg)
+                profile = block_profile(alg)
                 assert profile == target, f"dim {n}, expected {target}, got {profile}"
-                for j, layer in enumerate(report.layer_dims, start=1):
-                    assert layer % (j * j) == 0
+                # consecutive filtration dims differ by the j-blocks: c_j * j^2
+                dims = profile.filtration_dims
+                assert dims[0] == n and dims[-1] == 0
+                for j in range(1, len(dims)):
+                    assert dims[j - 1] - dims[j] == profile.counts.get(j, 0) * j * j
 
     def test_profile_survives_random_change_of_basis(self):
         # after conjugating the table by a random invertible matrix nothing
@@ -224,7 +227,7 @@ class TestBlockProfile:
             upper_triangular_algebra(2),
         ]
         for alg in corpus:
-            profile, report = block_profile(alg)
+            profile = block_profile(alg)
             rad_dim = radical(alg).dim
             n = alg.dim
             while True:
@@ -236,14 +239,12 @@ class TestBlockProfile:
             moved = change_basis(alg, p)
             assert moved.validate().ok
             assert radical(moved).dim == rad_dim
-            profile2, report2 = block_profile(moved)
-            assert profile2 == profile
-            assert report2.dims == report.dims
+            assert block_profile(moved) == profile
 
     def test_layer_scale_invariance(self):
         rng = random.Random(61)
         alg = direct_sum(matrix_unit_algebra(2), dual_numbers())
-        profile, report = block_profile(alg)
+        profile = block_profile(alg)
         scales = [Fraction(rng.randint(1, 7)) for _ in range(alg.dim)]
         table = [
             [
@@ -258,9 +259,7 @@ class TestBlockProfile:
         unit = [alg.unit[i] / scales[i] for i in range(alg.dim)]
         rescaled = StructureAlgebra(alg.labels, table, unit)
         assert rescaled.validate().ok
-        profile2, report2 = block_profile(rescaled)
-        assert profile2 == profile
-        assert report2.dims == report.dims
+        assert block_profile(rescaled) == profile
 
 
 def identity_ideal_dims(alg):
@@ -303,27 +302,26 @@ class TestProfileFromCentre:
     def test_dims_match_identity_ideals_on_matrix_units(self):
         for sizes in self.SEMISIMPLE + ((3,), (2, 2), (3, 1)):
             alg = from_block_sizes(sizes)
-            assert block_profile(alg)[1].dims == identity_ideal_dims(alg), sizes
+            assert block_profile(alg).filtration_dims == identity_ideal_dims(alg), sizes
 
     def test_dims_match_identity_ideals_on_scrambled_bases(self):
         rng = random.Random(23)
         for sizes in self.SEMISIMPLE:
             for gaussian in (False, True):
                 alg = scrambled(from_block_sizes(sizes), rng, gaussian)
-                assert block_profile(alg)[1].dims == identity_ideal_dims(alg), (sizes, gaussian)
+                assert block_profile(alg).filtration_dims == identity_ideal_dims(alg), (
+                    sizes, gaussian)
 
     def test_dims_match_identity_ideals_on_non_semisimple_sums(self):
         rng = random.Random(29)
         for make in self.NON_SEMISIMPLE:
             for alg in (make(), scrambled(make(), rng, gaussian=True)):
-                assert block_profile(alg)[1].dims == identity_ideal_dims(alg)
+                assert block_profile(alg).filtration_dims == identity_ideal_dims(alg)
 
     def test_given_radical_gives_the_same_answer(self):
         alg = direct_sum(upper_triangular_algebra(2), matrix_unit_algebra(2))
-        expected, expected_report = block_profile(alg)
-        profile, report = block_profile(alg, radical(alg))
-        assert profile == expected == BlockProfile({1: 2, 2: 1})
-        assert report.dims == expected_report.dims
+        expected = block_profile(alg)
+        assert block_profile(alg, radical(alg)) == expected == BlockProfile({1: 2, 2: 1})
 
     def test_centre_counts_the_blocks(self):
         from algdeform.analysis import centre

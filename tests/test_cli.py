@@ -246,6 +246,13 @@ class TestScan:
         assert b"Traceback" not in proc.stderr
 
 
+def _one_gigabyte():
+    """Hold a CLI subprocess to 1 GB of address space (``preexec_fn``)."""
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 DUAL_TABLE = [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]]
 DUAL_FAMILY = json.loads((DATA / "dual_number_family.json").read_text())
 
@@ -318,6 +325,11 @@ class TestMisshapenInput:
             ("obstruct", 5, "cannot read algebra {path}: a table file must hold a JSON object"),
             ("build", ["x"], "cannot read presentation {path}: a presentation file must hold a "
                              "JSON object"),
+            # the zero ring is no algebra: no quotient or presentation gives it
+            ("analyze", {"dim": 0, "table": [], "unit": []},
+             "cannot read algebra {path}: dim must be at least 1"),
+            ("scan", {"kind": "table", "dim": 0, "table": [], "unit": []},
+             "cannot read family {path}: dim must be at least 1"),
         ],
     )
     def test_exits_2_with_one_line_naming_the_field(self, tmp_path, command, doc, message):
@@ -330,18 +342,55 @@ class TestMisshapenInput:
     def test_huge_dim_without_labels_exits_2_at_once(self, tmp_path):
         """No default label is made for a dim the table does not have: 10^12
         of them would take all memory, so the run is held to 1 GB and 30 s."""
-        import resource
-
-        def limit():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         path = tmp_path / "input.json"
         path.write_text(json.dumps({"dim": 10 ** 12, "unit": ["1", "0"], "table": DUAL_TABLE}))
-        proc = run_cli("analyze", "--input", str(path), timeout=30, preexec_fn=limit)
+        proc = run_cli("analyze", "--input", str(path), timeout=30, preexec_fn=_one_gigabyte)
         assert proc.returncode == 2
         assert proc.stderr.decode().splitlines() == [
             f"error: cannot read algebra {path}: structure tensor has wrong shape"
         ]
+
+    @pytest.mark.parametrize(
+        "command, doc, message",
+        [
+            # a word of 300M letters, and a t-polynomial of 300M coefficients
+            ("build", {"generators": ["x"], "relations": ["x^2 - x^300000000"], "expected_dim": 2},
+             "cannot read presentation {path}: exponent 300000000 is above the cap of 64 "
+             "(at position 8)"),
+            ("scan", {"kind": "relations", "generators": ["x"], "relations": ["x^2 - t^300000000"],
+                      "expected_dim": 2},
+             "cannot read family {path}: exponent 300000000 is above the cap of 64 (at position 8)"),
+            # a build walks every word up to max_degree: 2^(D+1) - 1 on two generators
+            ("build", {"generators": ["x", "y"], "relations": ["x*y - y*x"], "expected_dim": 1000,
+                       "max_degree": 15},
+             "cannot read presentation {path}: max_degree 15 walks 65535 words over 2 generators, "
+             "above the cap of 32768"),
+            ("build", {"generators": ["x", "y"], "relations": ["x*y - y*x"], "expected_dim": 1000,
+                       "max_degree": 40},
+             "cannot read presentation {path}: max_degree 40 walks 2199023255551 words over 2 "
+             "generators, above the cap of 32768"),
+        ],
+    )
+    def test_unbounded_presentation_text_exits_2_at_once(self, tmp_path, command, doc, message):
+        """Uncapped, each of these ran for minutes or took gigabytes, so the
+        run is held to 1 GB and 30 s."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        extra = ["--count", "2"] if command == "scan" else ["--out", str(tmp_path / "o.json")]
+        proc = run_cli(command, "--input", str(path), *extra, timeout=30, preexec_fn=_one_gigabyte)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == ["error: " + message.format(path=path)]
+
+    def test_a_power_of_i_is_read_mod_4(self, tmp_path):
+        """i^30000000 is 1, with no 30M multiplies: x^2 - 1 builds at once."""
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(
+            {"generators": ["x"], "relations": ["x^2 - i^30000000"], "expected_dim": 2}
+        ))
+        proc = run_cli("build", "--input", str(path), "--out", str(tmp_path / "o.json"),
+                       "--format", "json", timeout=30, preexec_fn=_one_gigabyte)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert json.loads(proc.stdout)["basis"] == ["1", "x"]
 
     def test_trials_above_the_cap_exit_2(self):
         from algdeform.obstruction import MAX_TRIALS
@@ -428,6 +477,22 @@ class TestObstruct:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines() == ["error: dimension 4 is above the cap of 3"]
+
+    def test_missing_label_is_named_with_the_labels_of_the_file(self):
+        path = REPO / "tests" / "data" / "gaussian_m2.json"
+        proc = run_cli("obstruct", "--input", str(path))  # the default --generators x,y
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            f"error: no label 'x' in {path}; its labels are b0, b1, b2, b3"
+        ]
+
+    def test_missing_generator_is_named_with_the_generators_of_the_file(self):
+        path = DATA / "contraction_dim12.json"
+        proc = run_cli("obstruct", "--input", str(path), "--generators", "x,z")
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            f"error: no generator 'z' in {path}; its generators are x, y"
+        ]
 
     def test_non_numeric_coordinates_exit_2(self, m2_algebra):
         proc = run_cli("obstruct", "--input", str(m2_algebra), "--generators", "a,b;c,d")

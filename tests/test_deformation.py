@@ -13,7 +13,6 @@ from algdeform.deformation import (
     FamilyValidationError,
     SampledFamily,
     ScheduleError,
-    compare_targets,
     constant_family,
     dual_number_family,
     scan,
@@ -75,7 +74,7 @@ class TestSpecialize:
     def test_at_quarter_is_split_semisimple(self):
         alg = dual_number_family().specialize(Fraction(1, 4))
         assert is_semisimple(alg)
-        profile, _ = block_profile(alg)
+        profile = block_profile(alg)
         assert profile == BlockProfile({1: 2})
         # the idempotent 1/2 + x witnesses the splitting over the rationals
         e = alg.element([Fraction(1, 2), 1])
@@ -215,28 +214,6 @@ class TestSampledFamily:
             assert a.semisimple == b.semisimple
             assert a.radical_dim == b.radical_dim
             assert a.profile == b.profile
-
-
-class TestCompareTargets:
-    def test_unique_match(self):
-        result = scan(dual_number_family(), Fraction(1, 2), 6)
-        targets = [BlockProfile({1: 2})]
-        comparison = compare_targets(result, targets)
-        assert comparison.matches == (BlockProfile({1: 2}),)
-        assert comparison.unique
-
-    def test_mixed_reports_no_stable_target(self):
-        result = scan(constant_family(dual_numbers()), Fraction(1, 2), 4)
-        comparison = compare_targets(result, [BlockProfile({1: 2})])
-        assert comparison.stable_profile is None
-        assert comparison.note == "no stable target on this schedule"
-        assert not comparison.matches
-
-    def test_absent_stable_profile_flagged(self):
-        result = scan(constant_family(matrix_unit_algebra(2)), Fraction(1, 2), 4)
-        comparison = compare_targets(result, [BlockProfile({1: 4})])
-        assert not comparison.matches
-        assert "absent" in comparison.note
 
 
 class TestFamilyJson:

@@ -1,10 +1,12 @@
 """CLI fuzzing: a mutated input file ends with exit 0 or 2, never a traceback.
 
 Hypothesis takes the JSON documents of an algebra with Gaussian structure
-constants and of a table family, and mutates them: it drops a key or an
-array element, puts a value of another JSON type in place of one, or alters
-a number or a scalar literal.  Every subcommand that reads such a file must
-then either succeed or exit 2 with exactly one ``error:`` line.
+constants, a table family, a presentation and a relation family, and mutates
+them: it drops a key or an array element, puts a value of another JSON type
+in place of one, or alters a number or a literal (a scalar, or relation text,
+where an edit aimed at a digit makes an exponent grow).  Every subcommand
+that reads such a file must then either succeed or exit 2 with exactly one
+``error:`` line.
 """
 
 import contextlib
@@ -18,31 +20,44 @@ from hypothesis import given, settings, strategies as st
 from algdeform import cli
 
 REPO = Path(__file__).resolve().parent.parent
-SOURCES = {
-    name: json.loads(path.read_text())
-    for name, path in (
-        ("gaussian_m2", REPO / "tests" / "data" / "gaussian_m2.json"),
-        ("dual_number_family", REPO / "demos" / "data" / "dual_number_family.json"),
-    )
-}
 # the generators of the gaussian_m2 golden case, which generate it
 GENERATORS = (
     "10/281-32/281*i,-128/281-40/281*i,80/281-256/281*i,20/281-64/281*i;"
     "-48/281-296/281*i,-60/281+192/281*i,178/281-120/281*i,-96/281-30/281*i"
 )
-COMMANDS = (
+TABLE_COMMANDS = (
     ["analyze"],
     ["identity-span", "--m", "1"],
     ["scan", "--count", "2"],
     ["obstruct", "--trials", "1", "--generators", GENERATORS],
     ["obstruct", "--trials", "1"],
 )
+# --max-degree 8 ends a mutated build that never stabilises within a second
+PRESENTATION_COMMANDS = (
+    ["build", "--max-degree", "8", "--out", "{out}"],
+    ["obstruct", "--trials", "1", "--max-degree", "8"],
+)
+# source name -> (document, the commands run on it)
+SOURCES = {
+    name: (json.loads(path.read_text()), commands)
+    for name, path, commands in (
+        ("gaussian_m2", REPO / "tests" / "data" / "gaussian_m2.json", TABLE_COMMANDS),
+        ("dual_number_family", REPO / "demos" / "data" / "dual_number_family.json",
+         TABLE_COMMANDS),
+        ("contraction_dim12", REPO / "demos" / "data" / "contraction_dim12.json",
+         PRESENTATION_COMMANDS),
+        ("split_relation_family", REPO / "demos" / "data" / "split_relation_family.json",
+         (["scan", "--count", "2"],)),
+    )
+}
 
 OTHER_VALUES = st.sampled_from(
     [None, True, False, 0, 1, -1, 2, 3, 10 ** 6, -(10 ** 6), 1.5, "", "x", "0", "1",
      "1/0", "i", "-", "1e3", [], [[]], ["1"], {}, {"dim": 2}]
 ).map(lambda value: json.loads(json.dumps(value)))  # a fresh copy: later mutations edit it
-LITERAL_EDITS = st.sampled_from(["0", "1", "9", "-", "/", "*", "i", "+", " ", "/0", "e"])
+LITERAL_EDITS = st.sampled_from(
+    ["0", "1", "9", "-", "/", "*", "i", "+", " ", "/0", "e", "^", "00000000"]
+)
 
 
 def _paths(node, prefix=()):
@@ -75,6 +90,9 @@ def _mutate(draw, box):
         parent[key] = value + draw(st.sampled_from((-3, -2, -1, 1, 2, 3, 10 ** 6)))
     else:  # replace, insert or delete one character of a literal
         at = draw(st.integers(0, len(value)))
+        digits = [k + 1 for k, ch in enumerate(value) if ch.isdigit()]
+        if digits and draw(st.booleans()):  # just after a digit: numbers grow
+            at = draw(st.sampled_from(digits))
         edit = draw(st.sampled_from(("replace", "insert", "delete")))
         piece = draw(LITERAL_EDITS)
         if edit == "insert":
@@ -87,26 +105,30 @@ def _mutate(draw, box):
 
 
 @st.composite
-def mutated_documents(draw):
-    name = draw(st.sampled_from(sorted(SOURCES)))
-    box = [json.loads(json.dumps(SOURCES[name]))]  # a fresh copy
+def mutated_runs(draw):
+    """A mutated source document and one of the commands run on that source."""
+    doc, commands = SOURCES[draw(st.sampled_from(sorted(SOURCES)))]
+    box = [json.loads(json.dumps(doc))]  # a fresh copy
     for _ in range(draw(st.integers(1, 3))):
         _mutate(draw, box)
-    return box[0]
+    return box[0], draw(st.sampled_from(commands))
 
 
 @pytest.fixture(scope="module")
-def input_path(tmp_path_factory):
-    return tmp_path_factory.mktemp("fuzz") / "input.json"
+def work_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=300, deadline=None)
-@given(mutated_documents(), st.sampled_from(COMMANDS))
-def test_mutated_input_exits_0_or_2_with_at_most_one_error_line(input_path, doc, command):
+@settings(max_examples=600, deadline=None)
+@given(mutated_runs())
+def test_mutated_input_exits_0_or_2_with_at_most_one_error_line(work_dir, run):
+    doc, command = run
+    input_path = work_dir / "input.json"
     input_path.write_text(json.dumps(doc))
+    args = [a.format(out=work_dir / "out.json") for a in command[1:]]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([command[0], "--input", str(input_path), *command[1:]])
+        code = cli.main([command[0], "--input", str(input_path), *args])
     lines = err.getvalue().splitlines()
     assert code in (0, 2), lines
     if code == 2:

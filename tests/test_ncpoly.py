@@ -5,6 +5,7 @@ import pytest
 
 from algdeform.linalg import GaussianRational
 from algdeform.ncpoly import (
+    MAX_DEGREE,
     NcParseError,
     NcPoly,
     TPoly,
@@ -46,6 +47,21 @@ def test_parse_imaginary_unit():
     p = parse_ncpoly("i*x + i^2", XY)
     assert p.terms[(0,)] == TPoly.const(GaussianRational(0, 1))
     assert p.terms[()] == TPoly.const(-1)
+
+
+def test_powers_of_i_are_read_mod_4():
+    i = GaussianRational(0, 1)
+    for k, value in ((0, 1), (5, i), (30_000_002, -1), (10 ** 40 + 3, -i)):
+        assert parse_ncpoly(f"i^{k}", XY) == NcPoly(XY, {(): TPoly.const(value)})
+
+
+def test_generator_and_t_exponents_are_capped():
+    assert parse_ncpoly(f"x^{MAX_DEGREE} - t^{MAX_DEGREE}", XY).degree == MAX_DEGREE
+    for text in (f"x^{MAX_DEGREE + 1}", f"y - t^{MAX_DEGREE + 1}"):
+        with pytest.raises(NcParseError, match=f"exponent {MAX_DEGREE + 1} is above the cap of "
+                                               f"{MAX_DEGREE}") as err:
+            parse_ncpoly(text, XY)
+        assert err.value.position == len(text) - 2
 
 
 def test_parse_parentheses_and_unary_minus():

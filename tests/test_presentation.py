@@ -3,6 +3,7 @@ import pytest
 from algdeform.ncpoly import parse_ncpoly
 from algdeform.presentation import (
     MAX_DEGREE,
+    MAX_WORDS,
     BuildResult,
     DimensionMismatchError,
     NoStabilizationError,
@@ -133,6 +134,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="above the cap"):
             presentation(XY, ACON_RELATIONS, 12, max_degree=MAX_DEGREE + 1)
         assert presentation(("x",), ["x^40"], 40).max_degree == MAX_DEGREE
+
+    def test_words_walked_are_capped(self):
+        # 2^15 - 1 words up to degree 14 on two generators: the contraction
+        # algebra's default still fits
+        assert presentation(XY, ACON_RELATIONS, 12).max_degree == 14
+        with pytest.raises(ValueError, match="max_degree 15 walks 65535 words over 2 generators, "
+                                             f"above the cap of {MAX_WORDS}"):
+            presentation(XY, ACON_RELATIONS, 12, max_degree=15)
+        # the default is cut down to fit: 11111 words up to degree 4 on ten
+        gens = tuple("abcdefghjk")
+        assert presentation(gens, ["a*b"], 3).max_degree == 4
 
     def test_wrong_expectation_reported_for_exterior(self):
         with pytest.raises(DimensionMismatchError) as err:
