@@ -19,7 +19,6 @@ from algdeform import (
     family_span_dim,
     sampled_lower_bound,
     tower_bound,
-    tower_family,
 )
 from algdeform.analysis import enumerate_semisimple_types
 
@@ -29,9 +28,8 @@ alg = result.algebra
 x = result.generator_element("x")
 y = result.generator_element("y")
 
-fam = tower_family(12)
 print("tower span in the 12-dimensional contraction algebra:",
-      family_span_dim(alg, fam, [x, y]))
+      family_span_dim(alg, x, y, 12))
 
 print("\ncertified ceilings per candidate profile:")
 for profile in enumerate_semisimple_types(12):
@@ -48,4 +46,4 @@ print("so the only admissible targets are direct sums of 1- and 2-blocks.")
 # the sampled lower bounds are reproducible evidence, not certificates:
 # random pairs in the 3-block model algebra hit the Cayley-Hamilton ceiling
 print("\nsampled span in a single 3-block:",
-      sampled_lower_bound(enumerate_semisimple_types(9)[-1], tower_family(9), 50, 0))
+      sampled_lower_bound(enumerate_semisimple_types(9)[-1], 9, 50, 0))

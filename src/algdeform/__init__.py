@@ -21,7 +21,7 @@ Everything runs over the Gaussian rationals, each an exact int triple
     Polynomial-type deformation families, exact specialization, schedule
     scans.
 ``obstruction``
-    Word-family spans, the power-tower bound, deformation-target filtering.
+    Power-tower spans, the certified tower bound, deformation-target filtering.
 
 The ``algdeform`` command line (or ``python -m algdeform``) exposes build,
 analyze, scan, obstruct, enumerate, and identity-span over JSON files; the
@@ -55,12 +55,10 @@ _EXPORTS = {
     "ncpoly": ("NcPoly", "TPoly", "parse_ncpoly"),
     "obstruction": (
         "ObstructionReport",
-        "WordFamily",
         "admissible_targets",
         "family_span_dim",
         "sampled_lower_bound",
         "tower_bound",
-        "tower_family",
     ),
     "presentation": ("BuildResult", "Presentation", "build"),
 }

@@ -13,6 +13,7 @@ Juxtaposition without '*' is rejected so multi-character generator names stay
 unambiguous.  The names ``t`` and ``i`` are reserved for the parameter and
 the imaginary unit, so no generator may take them.  A generator or ``t``
 exponent may not exceed :data:`MAX_DEGREE`; ``i^k`` is read as i^(k mod 4).
+A product may not expand past :data:`MAX_WORDS` terms.
 """
 
 from __future__ import annotations
@@ -27,6 +28,13 @@ Word = tuple  # tuple of generator indices; the empty tuple is the monomial 1
 # highest exponent of a generator or of t in relation text: a longer word can
 # never enter a build.
 MAX_DEGREE = 64
+
+# Most words a build may walk: every word of length at most max_degree, sum
+# of g^d over d <= max_degree for g generators.  The 12-dimensional
+# contraction algebra's default (g = 2, max_degree 14) walks 32767.  A
+# relation with more words can never enter a build, so no product in
+# relation text may expand past it either.
+MAX_WORDS = 1 << 15
 
 
 def word_key(w):
@@ -396,8 +404,13 @@ class _Parser:
     def parse_term(self) -> NcPoly:
         acc = self.parse_factor()
         while self.peek()[0] == "*":
-            self.advance()
-            acc = acc * self.parse_factor()
+            pos = self.advance()[2]
+            factor = self.parse_factor()
+            if len(acc.terms) * len(factor.terms) > MAX_WORDS:
+                raise NcParseError(
+                    f"a product of {len(acc.terms)} by {len(factor.terms)} terms is above "
+                    f"the cap of {MAX_WORDS} words", pos)
+            acc = acc * factor
         return acc
 
     def parse_factor(self) -> NcPoly:

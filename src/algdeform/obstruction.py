@@ -1,14 +1,16 @@
-"""Word-family span dimensions and semisimple deformation-target filtering.
+"""The power tower's span, and semisimple deformation-target filtering.
 
-The certified side: in a j-by-j matrix block, powers of a single element stop
-being independent after the j-th power (the block satisfies its degree-j
-characteristic polynomial), so the family {x^i} + {y*x^i} spans at most
-min(2j, j^2) dimensions per block.  A target profile whose total bound falls
-below the span the family achieves in the algebra itself is excluded as a
-strongly flat deformation target.
+The tower of a pair (x, y) is the words {x^i} + {y*x^i} for i <= depth,
+evaluated as two product chains.  The certified side: in a j-by-j matrix
+block, powers of a single element stop being independent after the j-th
+power (the block satisfies its degree-j characteristic polynomial), so the
+tower spans at most min(2j, j^2) dimensions per block.  A target profile
+whose total bound falls below the span the depth-n tower achieves in the
+n-dimensional algebra itself is excluded as a strongly flat deformation
+target.
 
-The sampled side is evidence only: random arguments in the model algebra of a
-profile give a reproducible lower bound on what the family can span there,
+The sampled side is evidence only: random pairs in the model algebra of a
+profile give a reproducible lower bound on what the tower can span there,
 never a certificate.
 """
 
@@ -16,11 +18,10 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Element, StructureAlgebra, _combine, _support
+from .algebra import Element, StructureAlgebra, _support
 from .analysis import BlockProfile, enumerate_semisimple_types
 from .constructions import from_profile
 from .linalg import GaussianRational, _Echelon
-from .ncpoly import NcPoly, TPOLY_ONE, word_key
 
 
 class NotGeneratingError(ValueError):
@@ -34,46 +35,8 @@ class NotGeneratingError(ValueError):
         self.full_dim = full_dim
 
 
-class WordFamily:
-    """A list of word polynomials in k slot variables, constant in t."""
-
-    __slots__ = ("slots", "words")
-
-    def __init__(self, slots, words):
-        self.slots = tuple(slots)
-        words = tuple(words)
-        if not words:
-            raise ValueError("word family must be nonempty")
-        for w in words:
-            if not isinstance(w, NcPoly) or w.gens != self.slots:
-                raise ValueError("family words must be NcPoly over the slot variables")
-            if not w.is_constant_in_t():
-                raise ValueError("family words must be constant in t")
-        self.words = words
-
-    @property
-    def arity(self) -> int:
-        return len(self.slots)
-
-    def printed_words(self):
-        return [str(w) for w in self.words]
-
-
-def tower_family(depth: int) -> WordFamily:
-    """The two-slot family {x^i : i <= depth} + {y*x^i : i <= depth}."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    slots = ("x", "y")
-    words = []
-    for i in range(depth + 1):
-        words.append(NcPoly(slots, {(0,) * i: TPOLY_ONE}))
-    for i in range(depth + 1):
-        words.append(NcPoly(slots, {(1,) + (0,) * i: TPOLY_ONE}))
-    return WordFamily(slots, words)
-
-
 def tower_bound(profile: BlockProfile) -> int:
-    """Certified ceiling for any tower-family span in a semisimple algebra.
+    """Certified ceiling for any tower span in a semisimple algebra.
 
     Each j-block contributes at most min(2j, j^2): the 2j cap comes from the
     characteristic polynomial, the j^2 cap from the block dimension itself.
@@ -81,32 +44,31 @@ def tower_bound(profile: BlockProfile) -> int:
     return sum(c * min(2 * j, j * j) for j, c in profile.counts.items())
 
 
-def _evaluate_words(alg, args, words):
-    """Sparse values of monomial words at sparse arguments, sharing prefix products."""
-    # a loop: a recursive closure is a reference cycle, which would keep every
-    # product alive until the cycle collector runs
-    memo = {(): dict(_support(alg.unit))}
-    ordered = sorted(words, key=word_key)
-    for w in ordered:
-        for k in range(1, len(w) + 1):
-            if w[:k] not in memo:
-                memo[w[:k]] = alg.sparse_multiply(memo[w[:k - 1]], args[w[k - 1]])
-    return {w: memo[w] for w in ordered}
+def family_span_dim(alg: StructureAlgebra, x: Element, y: Element, depth: int) -> int:
+    """Dimension of the span of the tower {x^i} + {y*x^i}, i <= depth, at (x, y).
 
-
-def family_span_dim(alg: StructureAlgebra, fam: WordFamily, args) -> int:
-    """Dimension of the span of the family's words evaluated at ``args``."""
-    args = list(args)
-    if len(args) != fam.arity:
-        raise ValueError(f"family has arity {fam.arity}, got {len(args)} arguments")
-    monomials = {w for poly in fam.words for w in poly.terms}
-    values = _evaluate_words(alg, [dict(_support(a.coords)) for a in args], monomials)
+    The words are formed as two product chains, x^i = x^(i-1)*x and
+    y*x^i = (y*x^(i-1))*x; each value enters one echelon as it is formed, and
+    the walk stops once the span is the whole algebra.
+    """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
+    right = dict(_support(x.coords))
     span = _Echelon()
-    for poly in fam.words:
-        span.add(_combine((c.constant_value(), values[w].items()) for w, c in poly.terms.items()))
-        if len(span.rows) == alg.dim:
-            break
+    for value in (dict(_support(alg.unit)), dict(_support(y.coords))):
+        for i in range(depth + 1):
+            if i:
+                value = alg.sparse_multiply(value, right)
+            span.add(value)
+            if len(span.rows) == alg.dim:
+                return alg.dim
     return len(span.rows)
+
+
+def _tower_words(depth):
+    """The tower's words as printed: 1, x, ..., x^depth, y, y*x, ..., y*x^depth."""
+    powers = [f"x^{i}" if i > 1 else "x" for i in range(1, depth + 1)]
+    return ["1", *powers, "y", *(f"y*{p}" for p in powers)]
 
 
 def generated_subalgebra_dim(alg: StructureAlgebra, elements) -> int:
@@ -132,16 +94,17 @@ def generated_subalgebra_dim(alg: StructureAlgebra, elements) -> int:
     return len(span.rows)
 
 
-# Most sampling trials ``admissible_targets`` runs per profile: each trial
-# evaluates the whole tower in the profile's model algebra.
-MAX_TRIALS = 1000
+# Most sampling work ``admissible_targets`` may take on, counted as
+# trials * profiles * n^3: each trial evaluates the depth-n tower in a dim-n
+# model algebra.
+MAX_SAMPLING_WORK = 10 ** 7
 
 
-def sampled_lower_bound(profile: BlockProfile, fam: WordFamily, trials: int = 50,
+def sampled_lower_bound(profile: BlockProfile, depth: int, trials: int = 50,
                         seed: int = 0) -> int:
-    """Best family span seen over random arguments in the profile's model algebra.
+    """Best tower span seen over random pairs in the profile's model algebra.
 
-    Arguments are drawn per trial from a generator seeded by (seed, trial),
+    The pair (x, y) is drawn per trial from a generator seeded by (seed, trial),
     with integer coordinates in [-9, 9]; the result is reproducible and
     monotone nondecreasing in the trial count.
     """
@@ -151,13 +114,11 @@ def sampled_lower_bound(profile: BlockProfile, fam: WordFamily, trials: int = 50
     best = 0
     for trial in range(trials):
         rng = random.Random(f"{seed}:{trial}")
-        args = [
-            model.element(
-                [GaussianRational(rng.randint(-9, 9)) for _ in range(model.dim)]
-            )
-            for _ in range(fam.arity)
-        ]
-        best = max(best, family_span_dim(model, fam, args))
+        x, y = (
+            model.element([GaussianRational(rng.randint(-9, 9)) for _ in range(model.dim)])
+            for _ in range(2)
+        )
+        best = max(best, family_span_dim(model, x, y, depth))
         if best == model.dim:
             break
     return best
@@ -223,28 +184,25 @@ def admissible_targets(alg: StructureAlgebra, gen_x: Element, gen_y: Element,
     span of the depth-n tower at (gen_x, gen_y) is compared against each
     profile's certified bound: a profile is Excluded when its bound is
     smaller than the span achieved, which for a full span d = n rules out
-    exactly the profiles containing a block of size 3 or larger.  A trial
-    count above :data:`MAX_TRIALS` or a dimension past the enumeration cap
-    raises ``ValueError`` before any product.
+    exactly the profiles containing a block of size 3 or larger.  A dimension
+    past the enumeration cap, or sampling work (trials * profiles * n^3) above
+    :data:`MAX_SAMPLING_WORK`, raises ``ValueError`` before any product.
     """
-    if trials > MAX_TRIALS:
-        raise ValueError(f"trial count {trials} is above the cap of {MAX_TRIALS}")
     n = alg.dim
     profiles = enumerate_semisimple_types(n)
+    work = trials * len(profiles) * n ** 3
+    if work > MAX_SAMPLING_WORK:
+        raise ValueError(f"sampling work {trials} trials * {len(profiles)} profiles * {n}^3 = "
+                         f"{work} is above the cap of {MAX_SAMPLING_WORK}; lower --trials, or "
+                         f"pass --trials 0 to skip sampling")
     reached = generated_subalgebra_dim(alg, [gen_x, gen_y])
     if reached < n:
         raise NotGeneratingError(reached, n)
-    fam = tower_family(n)
-    span = family_span_dim(alg, fam, [gen_x, gen_y])
+    span = family_span_dim(alg, gen_x, gen_y, n)
     rows = []
     for profile in profiles:
         bound = tower_bound(profile)
-        sampled = sampled_lower_bound(profile, fam, trials, seed) if trials else None
+        sampled = sampled_lower_bound(profile, n, trials, seed) if trials else None
         status = EXCLUDED if span > bound else NOT_EXCLUDED
         rows.append(TargetRow(profile, bound, sampled, status))
-    return ObstructionReport(
-        fam.printed_words(),
-        (gen_x.coords, gen_y.coords),
-        span,
-        rows,
-    )
+    return ObstructionReport(_tower_words(n), (gen_x.coords, gen_y.coords), span, rows)

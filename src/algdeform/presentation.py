@@ -5,8 +5,9 @@ for increasing degree D, the span of all products (word) * relation * (word)
 of total degree at most D is eliminated against the free-word basis, largest
 word first under deglex order.  The build is accepted at the first D where
 
-  (a) raising the degree produced no new pivot words of length <= D-1
-      (the quotient seen by shorter words stabilized),
+  (a) D is at least the longest relation's degree, and raising the degree
+      produced no new pivot words of length <= D-1 (the quotient seen by
+      shorter words stabilized),
   (b) the stabilized dimension equals the presentation's expected dimension,
   (c) every product of a surviving basis word by a generator reduces into the
       span of the surviving basis words (multiplication closes).
@@ -20,7 +21,8 @@ from __future__ import annotations
 
 from .algebra import Element, StructureAlgebra, _combine, _field, _json_array, _json_int
 from .linalg import ONE, ZERO, _Echelon
-from .ncpoly import MAX_DEGREE, NcPoly, _generator_names, parse_ncpoly, word_key, word_to_str
+from .ncpoly import (MAX_DEGREE, MAX_WORDS, NcPoly, _generator_names, parse_ncpoly, word_key,
+                     word_to_str)
 
 
 class PresentationError(Exception):
@@ -46,12 +48,6 @@ class NotClosedError(PresentationError):
     """Multiplication does not close on the stabilized basis; the cap is too low."""
 
 
-# Most words a build may walk: every word of length at most max_degree,
-# sum of g^d over d <= max_degree for g generators.  The 12-dimensional
-# contraction algebra's default (g = 2, max_degree 14) walks 32767.
-MAX_WORDS = 1 << 15
-
-
 def _word_count(g, degree):
     return sum(g ** d for d in range(degree + 1))
 
@@ -62,8 +58,8 @@ class Presentation:
     ``max_degree`` caps the truncation degree; the default doubles the longest
     relation degree plus two, which is ample for presentations whose quotient
     basis words are no longer than the relations themselves.  A given value
-    may not exceed :data:`MAX_DEGREE` (``ncpoly.MAX_DEGREE``), nor walk more
-    than :data:`MAX_WORDS` words; the default is cut down to fit both.  Both
+    may not exceed ``ncpoly.MAX_DEGREE``, nor walk more than
+    ``ncpoly.MAX_WORDS`` words; the default is cut down to fit both.  Both
     numbers must be ``int`` (not bool, str or float), as in the file format.
     """
 
@@ -212,6 +208,7 @@ def build(p: Presentation) -> BuildResult:
                 rows[(w, letter)] = red
         return rows
 
+    longest = max((deg_r for deg_r, _ in rel_terms), default=0)
     for deg_r, terms in rel_terms:
         if deg_r == 0:
             span.add(dict(terms))
@@ -231,8 +228,9 @@ def build(p: Presentation) -> BuildResult:
                         span.add({u + w + v: c for w, c in terms})
         short_pivots = sum(1 for w in pivots if len(w) < degree)
         dim_found = words_upto - short_pivots
-        if short_pivots != prev_rank:
-            # fresh pivots among the shorter words: not stabilized yet
+        if short_pivots != prev_rank or degree < longest:
+            # fresh pivots among the shorter words, or a relation not yet in:
+            # not stabilized yet
             state = ("no_stab", dim_found)
         elif dim_found == p.expected_dim:
             basis = [

@@ -36,7 +36,7 @@ from algdeform.constructions import (
 from algdeform.deformation import STABLE, dual_number_family, scan
 from algdeform.linalg import Subspace
 from algdeform.ncpoly import parse_ncpoly
-from algdeform.obstruction import admissible_targets, family_span_dim, tower_family
+from algdeform.obstruction import admissible_targets, family_span_dim
 from algdeform.presentation import Presentation, build
 
 REPO = Path(__file__).resolve().parent.parent
@@ -69,7 +69,7 @@ def test_criterion_1_contraction_algebra_end_to_end():
 
     gx = result.generator_element("x")
     gy = result.generator_element("y")
-    tower = family_span_dim(result.algebra, tower_family(12), [gx, gy])
+    tower = family_span_dim(result.algebra, gx, gy, 12)
     tower_ok = tower == 12
 
     obstruction = admissible_targets(result.algebra, gx, gy, trials=50, seed=0)

@@ -106,6 +106,23 @@ class TestBuild:
         assert proc.returncode == 2
         assert b"found" in proc.stderr or b"12" in proc.stderr
 
+    @pytest.mark.parametrize("expected", [3, 1])
+    def test_no_acceptance_before_every_relation_is_in(self, tmp_path, expected):
+        # x^3 = 0 and x^10 = 1 make the zero ring, which only the degree-10
+        # relation shows
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(
+            {"generators": ["x"], "relations": ["x^3", "x^10 - 1"], "expected_dim": expected}
+        ))
+        proc = run_cli("build", "--input", str(path), "--out", str(tmp_path / "o.json"),
+                       timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr.decode().splitlines() == [
+            "error: build failed: DimensionMismatchError: presentation stabilized at "
+            f"dimension 0, expected {expected}"
+        ]
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestAnalyze:
     def test_contraction_algebra_is_local(self, acon_algebra):
@@ -369,6 +386,11 @@ class TestMisshapenInput:
                        "max_degree": 40},
              "cannot read presentation {path}: max_degree 40 walks 2199023255551 words over 2 "
              "generators, above the cap of 32768"),
+            # a product of sums doubles its terms with each factor (x+y)
+            ("build", {"generators": ["x", "y"], "relations": ["*".join(["(x+y)"] * 16)],
+                       "expected_dim": 2},
+             "cannot read presentation {path}: a product of 32768 by 2 terms is above the cap "
+             "of 32768 words (at position 89)"),
         ],
     )
     def test_unbounded_presentation_text_exits_2_at_once(self, tmp_path, command, doc, message):
@@ -393,15 +415,18 @@ class TestMisshapenInput:
         assert json.loads(proc.stdout)["basis"] == ["1", "x"]
 
     def test_trials_above_the_cap_exit_2(self):
-        from algdeform.obstruction import MAX_TRIALS
+        from algdeform.obstruction import MAX_SAMPLING_WORK
 
         proc = run_cli(
             "obstruct", "--input", str(DATA / "contraction_dim12.json"), "--trials", "100000000",
             timeout=60,  # uncapped, the run would not end
         )
         assert proc.returncode == 2
+        # the contraction algebra has dimension 12 and 5 semisimple profiles
         assert proc.stderr.decode().splitlines() == [
-            f"error: trial count 100000000 is above the cap of {MAX_TRIALS}"
+            f"error: sampling work 100000000 trials * 5 profiles * 12^3 = {10 ** 8 * 5 * 12 ** 3} "
+            f"is above the cap of {MAX_SAMPLING_WORK}; lower --trials, or pass --trials 0 to "
+            f"skip sampling"
         ]
 
     def test_trials_cap_is_checked_before_any_sampling(self, m2_algebra, monkeypatch, capsys):
@@ -410,7 +435,8 @@ class TestMisshapenInput:
         def no_work(*args):
             raise AssertionError("work was done past the cap")
 
-        monkeypatch.setattr(obstruction, "MAX_TRIALS", 3)
+        # M2: dimension 4, with the 2 profiles 1^4 and 2^1
+        monkeypatch.setattr(obstruction, "MAX_SAMPLING_WORK", 4 * 2 * 4 ** 3 - 1)
         monkeypatch.setattr(obstruction, "generated_subalgebra_dim", no_work)
         monkeypatch.setattr(obstruction, "sampled_lower_bound", no_work)
         code = cli.main(["obstruct", "--input", str(m2_algebra),
@@ -418,7 +444,10 @@ class TestMisshapenInput:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.splitlines() == ["error: trial count 4 is above the cap of 3"]
+        assert err.splitlines() == [
+            "error: sampling work 4 trials * 2 profiles * 4^3 = 512 is above the cap of 511; "
+            "lower --trials, or pass --trials 0 to skip sampling"
+        ]
 
 
 class TestObstruct:

@@ -4,9 +4,10 @@ The reference implementations below are the row reductions that ``src/``
 used before every elimination went through ``linalg._Echelon``, kept in
 substance as oracles: the dense ``_rref_rows``, the round-based
 ``ideal_closure`` and ``generated_subalgebra_dim``, the dense span
-accumulator of ``family_span_dim``, and the semi-reduced word-keyed rows of
-``presentation.build``.  They run on dense rows and the dense rref only, so
-they share no elimination code with the kernel.
+accumulator of ``family_span_dim`` over words evaluated letter by letter,
+and the semi-reduced word-keyed rows of ``presentation.build``.  They run on
+dense rows and the dense rref only, so they share no elimination code with
+the kernel.
 """
 
 import json
@@ -29,7 +30,7 @@ from algdeform.constructions import (
 from algdeform.deformation import load_family
 from algdeform.linalg import ONE, ZERO, GaussianRational, Matrix, Subspace, _Echelon, _rref_rows
 from algdeform.ncpoly import parse_ncpoly, word_key
-from algdeform.obstruction import family_span_dim, generated_subalgebra_dim, tower_family
+from algdeform.obstruction import family_span_dim, generated_subalgebra_dim
 
 DATA = Path(__file__).resolve().parent.parent / "demos" / "data"
 
@@ -121,16 +122,16 @@ class SpanAccumulator:
         return False
 
 
-def dense_family_span_dim(alg, fam, args):
+def dense_family_span_dim(alg, x, y, depth):
+    """The span of the tower {x^i} + {y*x^i}, i <= depth, with each word
+    evaluated letter by letter from the unit by ``Element`` products."""
     span = SpanAccumulator()
-    for poly in fam.words:
-        total = alg.zero_element()
-        for w, c in poly.terms.items():
+    for head in ((), (y,)):
+        for i in range(depth + 1):
             el = alg.unit_element()
-            for letter in w:
-                el = el * args[letter]
-            total = total + el * c.constant_value()
-        span.add(total.coords)
+            for letter in head + (x,) * i:
+                el = el * letter
+            span.add(el.coords)
     return len(span.rows)
 
 
@@ -335,8 +336,17 @@ def test_closures_match_the_round_based_oracles(alg, data):
     assert ideal_closure(alg, seed) == round_ideal_closure(alg, seed)
     gens = [alg.element(_vector(data.draw, n)) for _ in range(2)]
     assert generated_subalgebra_dim(alg, gens) == round_generated_subalgebra_dim(alg, gens)
-    fam = tower_family(n)
-    assert family_span_dim(alg, fam, gens) == dense_family_span_dim(alg, fam, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scrambled(), st.data())
+def test_tower_chains_match_the_letter_by_letter_words(alg, data):
+    # depths past n reach the whole algebra on a generating pair, so the
+    # chains' early return is drawn as well as their full walk
+    n = alg.dim
+    x, y = (alg.element(_vector(data.draw, n)) for _ in range(2))
+    depth = data.draw(st.integers(0, n + 2))
+    assert family_span_dim(alg, x, y, depth) == dense_family_span_dim(alg, x, y, depth)
 
 
 # -- subspace storage: the sparse echelon against the dense rref -----------------

@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 
 from algdeform.linalg import GaussianRational
+from algdeform import ncpoly
 from algdeform.ncpoly import (
     MAX_DEGREE,
+    MAX_WORDS,
     NcParseError,
     NcPoly,
     TPoly,
@@ -62,6 +64,20 @@ def test_generator_and_t_exponents_are_capped():
                                                f"{MAX_DEGREE}") as err:
             parse_ncpoly(text, XY)
         assert err.value.position == len(text) - 2
+
+
+def test_products_are_capped_at_max_words(monkeypatch):
+    # (x+y)^k has 2^k terms: the 16th factor would make 65536
+    text = "*".join(["(x+y)"] * 16)
+    with pytest.raises(NcParseError, match=f"a product of 32768 by 2 terms is above the cap "
+                                           f"of {MAX_WORDS} words") as err:
+        parse_ncpoly(text, XY)
+    assert err.value.position == text.rindex("*")
+    monkeypatch.setattr(ncpoly, "MAX_WORDS", 4)
+    assert len(parse_ncpoly("(x+y)*(x+y)", XY).terms) == 4
+    with pytest.raises(NcParseError, match="a product of 4 by 2 terms") as err:
+        parse_ncpoly("(x+y)*(x+y)*(x+y)", XY)
+    assert err.value.position == 11
 
 
 def test_parse_parentheses_and_unary_minus():

@@ -9,17 +9,15 @@ from algdeform.constructions import (
     matrix_unit_algebra,
     scalar_field,
 )
-from algdeform.ncpoly import NcPoly, parse_ncpoly
 from algdeform.obstruction import (
     NOT_EXCLUDED,
     NotGeneratingError,
-    WordFamily,
+    _tower_words,
     admissible_targets,
     family_span_dim,
     generated_subalgebra_dim,
     sampled_lower_bound,
     tower_bound,
-    tower_family,
 )
 from algdeform.presentation import Presentation, build
 from algdeform.ncpoly import parse_ncpoly as _parse
@@ -41,16 +39,13 @@ def acon():
 
 class TestTowerFamily:
     def test_depth_zero(self):
-        fam = tower_family(0)
-        assert fam.printed_words() == ["1", "y"]
+        assert _tower_words(0) == ["1", "y"]
 
     def test_depth_two(self):
-        fam = tower_family(2)
-        assert fam.printed_words() == ["1", "x", "x^2", "y", "y*x", "y*x^2"]
+        assert _tower_words(2) == ["1", "x", "x^2", "y", "y*x", "y*x^2"]
 
     def test_depth_matches_dimension_convention(self):
-        fam = tower_family(12)
-        assert len(fam.words) == 26
+        assert len(_tower_words(12)) == 26
 
 
 class TestTowerBound:
@@ -69,22 +64,15 @@ class TestTowerBound:
 class TestFamilySpanDim:
     def test_tower_spans_the_contraction_algebra(self):
         res = acon()
-        fam = tower_family(12)
         d = family_span_dim(
-            res.algebra, fam, [res.generator_element("x"), res.generator_element("y")]
+            res.algebra, res.generator_element("x"), res.generator_element("y"), 12
         )
         assert d == 12
-
-    def test_trivial_family(self):
-        fam = WordFamily(("x",), [NcPoly.one(("x",))])
-        m2 = matrix_unit_algebra(2)
-        assert family_span_dim(m2, fam, [m2.basis_element(1)]) == 1
 
     def test_cayley_hamilton_ceiling_in_m3(self):
         # brute-force check on seeded random samples: a depth-9 tower in the
         # 3x3 matrix algebra never beats 2*3 = 6
-        fam = tower_family(9)
-        assert sampled_lower_bound(BlockProfile({3: 1}), fam, trials=10, seed=3) <= 6
+        assert sampled_lower_bound(BlockProfile({3: 1}), 9, trials=10, seed=3) <= 6
 
     def test_evaluation_leaves_no_cyclic_garbage(self):
         # products freed by reference counting do not wait for the collector
@@ -93,21 +81,20 @@ class TestFamilySpanDim:
         gc.collect()
         gc.disable()
         try:
-            assert family_span_dim(m2, tower_family(4), args) == 4
+            assert family_span_dim(m2, *args, 4) == 4
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def test_arity_mismatch(self):
+    def test_negative_depth(self):
         m2 = matrix_unit_algebra(2)
-        with pytest.raises(ValueError):
-            family_span_dim(m2, tower_family(2), [m2.basis_element(0)])
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            family_span_dim(m2, m2.basis_element(0), m2.basis_element(1), -1)
 
     def test_span_never_exceeds_dimension(self):
         res = acon()
-        fam = tower_family(20)
         d = family_span_dim(
-            res.algebra, fam, [res.generator_element("x"), res.generator_element("y")]
+            res.algebra, res.generator_element("x"), res.generator_element("y"), 20
         )
         assert d <= 12
 
@@ -194,17 +181,12 @@ class TestExteriorAlgebra:
 
 class TestMonotonicity:
     def test_adding_words_never_shrinks_the_span(self):
+        # one step deeper, the tower gains the two words x^4 and y*x^4
         res = acon()
         alg = res.algebra
         args = [res.generator_element("x"), res.generator_element("y")]
-        base_fam = tower_family(3)
-        d_base = family_span_dim(alg, base_fam, args)
-        extended = WordFamily(
-            base_fam.slots,
-            list(base_fam.words)
-            + [parse_ncpoly("x*y^2", base_fam.slots), parse_ncpoly("y^2", base_fam.slots)],
-        )
-        d_ext = family_span_dim(alg, extended, args)
+        d_base = family_span_dim(alg, *args, 3)
+        d_ext = family_span_dim(alg, *args, 4)
         assert d_ext >= d_base
         # a larger achieved span can only shrink the certified-admissible set
         from algdeform.analysis import enumerate_semisimple_types
@@ -220,30 +202,23 @@ class TestMonotonicity:
 
 class TestSampledLowerBound:
     def test_two_block_reaches_bound(self):
-        assert sampled_lower_bound(BlockProfile({2: 1}), tower_family(4), 50, 0) == 4
-
-    def test_identity_family(self):
-        fam = WordFamily(("x", "y"), [NcPoly.one(("x", "y"))])
-        assert sampled_lower_bound(BlockProfile({1: 1}), fam, 5, 0) == 1
+        assert sampled_lower_bound(BlockProfile({2: 1}), 4, 50, 0) == 4
 
     def test_three_block_reaches_cayley_hamilton_ceiling(self):
-        assert sampled_lower_bound(BlockProfile({3: 1}), tower_family(9), 50, 0) == 6
+        assert sampled_lower_bound(BlockProfile({3: 1}), 9, 50, 0) == 6
 
     def test_monotone_in_trials(self):
-        fam = tower_family(6)
         profile = BlockProfile({2: 1, 1: 1})
-        values = [sampled_lower_bound(profile, fam, t, seed=1) for t in (1, 3, 10)]
+        values = [sampled_lower_bound(profile, 6, t, seed=1) for t in (1, 3, 10)]
         assert values == sorted(values)
 
     def test_deterministic(self):
-        fam = tower_family(5)
         profile = BlockProfile({2: 2})
-        a = sampled_lower_bound(profile, fam, 7, seed=9)
-        b = sampled_lower_bound(profile, fam, 7, seed=9)
+        a = sampled_lower_bound(profile, 5, 7, seed=9)
+        b = sampled_lower_bound(profile, 5, 7, seed=9)
         assert a == b
 
     def test_sampled_never_beats_certified(self):
-        fam = tower_family(8)
         for profile in (
             BlockProfile({1: 4}),
             BlockProfile({2: 1}),
@@ -251,7 +226,7 @@ class TestSampledLowerBound:
             BlockProfile({3: 1}),
             BlockProfile({2: 1, 1: 4}),
         ):
-            assert sampled_lower_bound(profile, fam, 10, 0) <= tower_bound(profile)
+            assert sampled_lower_bound(profile, 8, 10, 0) <= tower_bound(profile)
 
 
 def tower_witness(profile):
@@ -279,12 +254,40 @@ class TestTowerWitness:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_witness_spans_the_tower_bound(self, n):
-        fam = tower_family(n)
         for profile in enumerate_semisimple_types(n):
             model, x, y = tower_witness(profile)
             bound = tower_bound(profile)
-            assert family_span_dim(model, fam, [x, y]) == bound, str(profile)
-            assert sampled_lower_bound(profile, fam, trials=3) <= bound, str(profile)
+            assert family_span_dim(model, x, y, n) == bound, str(profile)
+            assert sampled_lower_bound(profile, n, trials=3) <= bound, str(profile)
+
+
+class TestSamplingCap:
+    """The cap counts trials * profiles * n^3 for the whole run, and is
+    checked before the generation check or any product."""
+
+    @pytest.mark.parametrize("size, trials", [(4, 1000), (5, 50), (6, 50)])
+    def test_large_runs_are_refused(self, size, trials, monkeypatch):
+        from algdeform import obstruction
+
+        def no_work(*args):
+            raise AssertionError("work was done past the cap")
+
+        monkeypatch.setattr(obstruction, "generated_subalgebra_dim", no_work)
+        alg = from_profile(BlockProfile({size: 1}))
+        u = alg.unit_element()
+        with pytest.raises(ValueError, match="above the cap of 10000000"):
+            admissible_targets(alg, u, u, trials=trials)
+
+    def test_the_contraction_algebra_runs_1000_trials(self, monkeypatch):
+        # 1000 trials * 5 profiles * 12^3 = 8640000
+        from algdeform import obstruction
+
+        monkeypatch.setattr(obstruction, "sampled_lower_bound", lambda *args: 0)
+        res = acon()
+        report = admissible_targets(
+            res.algebra, res.generator_element("x"), res.generator_element("y"), trials=1000
+        )
+        assert len(report.rows) == 5
 
 
 class TestGeneration:

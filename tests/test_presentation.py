@@ -110,6 +110,14 @@ class TestErrors:
             build(presentation(XY, ACON_RELATIONS, 11))
         assert err.value.found_dim == 12
 
+    def test_no_acceptance_before_every_relation_is_in(self):
+        # x^3 alone stabilizes at dimension 3 by degree 3, but with x^3 = 0
+        # the degree-10 relation x^10 = 1 gives 1 = 0
+        for expected in (3, 1):
+            with pytest.raises(DimensionMismatchError) as err:
+                build(presentation(("x",), ["x^3", "x^10 - 1"], expected))
+            assert err.value.found_dim == 0
+
     def test_no_stabilization_without_relations(self):
         # a free generator can never stabilize
         with pytest.raises(NoStabilizationError):
