@@ -13,7 +13,9 @@ Juxtaposition without '*' is rejected so multi-character generator names stay
 unambiguous.  The names ``t`` and ``i`` are reserved for the parameter and
 the imaginary unit, so no generator may take them.  A generator or ``t``
 exponent may not exceed :data:`MAX_DEGREE`; ``i^k`` is read as i^(k mod 4).
-A product may not expand past :data:`MAX_WORDS` terms.
+A product may not expand past :data:`MAX_WORDS` terms, and the products and
+sums of one relation may not form more than :data:`MAX_PARSE_TERMS` terms in
+all.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ MAX_DEGREE = 64
 # relation with more words can never enter a build, so no product in
 # relation text may expand past it either.
 MAX_WORDS = 1 << 15
+
+# Most terms the products (|a|*|b|) and sums (|a|+|b|) of one relation may form
+# in all, so a sum of products each within MAX_WORDS stays bounded.  The
+# product of 15 factors (x+y), 32768 terms, forms 65562.
+MAX_PARSE_TERMS = 4 * MAX_WORDS
 
 
 def word_key(w):
@@ -372,6 +379,14 @@ class _Parser:
         self.pos = 0
         self.gens = gens
         self.index = {name: k for k, name in enumerate(gens)}
+        self.formed = 0  # terms formed so far by the products and sums
+
+    def spend(self, terms, op, pos):
+        """Count the terms a product or sum forms against the relation's budget."""
+        self.formed += terms
+        if self.formed > MAX_PARSE_TERMS:
+            raise NcParseError(f"this {op} brings the terms formed in one relation to "
+                               f"{self.formed}, above the budget of {MAX_PARSE_TERMS}", pos)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -388,16 +403,15 @@ class _Parser:
         return tok
 
     def parse_expr(self) -> NcPoly:
-        acc = NcPoly.zero(self.gens)
-        negate = False
-        if self.peek()[0] == "-":
+        negate = self.peek()[0] == "-"
+        if negate:
             self.advance()
-            negate = True
         term = self.parse_term()
-        acc = acc + (-term if negate else term)
+        acc = -term if negate else term
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+            op, _, pos = self.advance()
             term = self.parse_term()
+            self.spend(len(acc.terms) + len(term.terms), "sum", pos)
             acc = acc + (-term if op == "-" else term)
         return acc
 
@@ -410,6 +424,7 @@ class _Parser:
                 raise NcParseError(
                     f"a product of {len(acc.terms)} by {len(factor.terms)} terms is above "
                     f"the cap of {MAX_WORDS} words", pos)
+            self.spend(len(acc.terms) * len(factor.terms), "product", pos)
             acc = acc * factor
         return acc
 

@@ -1,8 +1,8 @@
 """Build a finite-dimensional algebra from a finite presentation.
 
 The construction is degree-truncated linear algebra over graded word spaces:
-for increasing degree D, the span of all products (word) * relation * (word)
-of total degree at most D is eliminated against the free-word basis, largest
+for D = 0, 1, 2, ... the span of all products (word) * relation * (word) of
+total degree at most D is eliminated against the free-word basis, largest
 word first under deglex order.  The build is accepted at the first D where
 
   (a) D is at least the longest relation's degree, and raising the degree
@@ -11,6 +11,11 @@ word first under deglex order.  The build is accepted at the first D where
   (b) the stabilized dimension equals the presentation's expected dimension,
   (c) every product of a surviving basis word by a generator reduces into the
       span of the surviving basis words (multiplication closes).
+
+Each degree sets the one error a build that reaches the degree cap ends
+with: not closed when only (c) fails, a dimension mismatch when it stabilized
+twice at a wrong dimension (at once if multiplication closes there), and no
+stabilization otherwise, which is also raised past :data:`MAX_ROWS` rows.
 
 The surviving basis words are the deglex-smallest independent words, the
 structure constants are read off letter by letter, and the finished table is
@@ -23,6 +28,11 @@ from .algebra import Element, StructureAlgebra, _combine, _field, _json_array, _
 from .linalg import ONE, ZERO, _Echelon
 from .ncpoly import (MAX_DEGREE, MAX_WORDS, NcPoly, _generator_names, parse_ncpoly, word_key,
                      word_to_str)
+
+# Most relation rows a build may eliminate: at degree D a relation r adds
+# (s+1)*g^s rows, s = D - deg r, each reduced against every echelon row.  The
+# 12-dimensional contraction algebra builds with 201.
+MAX_ROWS = 8192
 
 
 class PresentationError(Exception):
@@ -61,6 +71,7 @@ class Presentation:
     may not exceed ``ncpoly.MAX_DEGREE``, nor walk more than
     ``ncpoly.MAX_WORDS`` words; the default is cut down to fit both.  Both
     numbers must be ``int`` (not bool, str or float), as in the file format.
+    No relation may be longer than ``max_degree``, given or defaulted.
     """
 
     __slots__ = ("generators", "relations", "expected_dim", "max_degree")
@@ -85,8 +96,8 @@ class Presentation:
         if self.expected_dim < 1:
             raise ValueError("expected_dim must be at least 1")
         g = len(self.generators)
+        longest = max((r.degree for r in rels), default=1)
         if max_degree is None:
-            longest = max((r.degree for r in rels), default=1)
             max_degree = min(2 * longest + 2, MAX_DEGREE)
             while max_degree > 1 and _word_count(g, max_degree) > MAX_WORDS:
                 max_degree -= 1
@@ -101,6 +112,8 @@ class Presentation:
                 f"max_degree {self.max_degree} walks {words} words over {g} generators, "
                 f"above the cap of {MAX_WORDS}"
             )
+        if longest > self.max_degree:  # it could never enter the build
+            raise ValueError(f"relation of degree {longest} is above max_degree {self.max_degree}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,26 +185,17 @@ class BuildResult:
 def build(p: Presentation) -> BuildResult:
     """Construct the algebra presented by ``p``.
 
-    Raises :class:`NoStabilizationError`, :class:`DimensionMismatchError`
-    (carrying the dimension that was found), or :class:`NotClosedError` when
-    the degree cap is reached without satisfying the acceptance criteria.
+    Raises :class:`NoStabilizationError` (also past :data:`MAX_ROWS` rows),
+    :class:`DimensionMismatchError` (carrying the dimension found), or
+    :class:`NotClosedError` when the degree cap is reached unaccepted.
     """
-    gens = p.generators
-    g = len(gens)
+    g = len(p.generators)
     rel_terms = [
         (r.degree, tuple((w, c.constant_value()) for w, c in sorted(r.terms.items())))
         for r in p.relations
     ]
-
-    words_cache = {0: [()]}
-
-    def words_of(length):
-        while length not in words_cache:
-            top = max(words_cache)
-            words_cache[top + 1] = [
-                w + (l,) for w in words_cache[top] for l in range(g)
-            ]
-        return words_cache[length]
+    longest = max((deg_r for deg_r, _ in rel_terms), default=0)
+    words = [[()]]  # words[d]: the words of length d, in deglex order
 
     # word-keyed rows, each led by its deglex-largest word
     span = _Echelon(lead=lambda vec: max(vec, key=word_key))
@@ -208,66 +212,46 @@ def build(p: Presentation) -> BuildResult:
                 rows[(w, letter)] = red
         return rows
 
-    longest = max((deg_r for deg_r, _ in rel_terms), default=0)
-    for deg_r, terms in rel_terms:
-        if deg_r == 0:
-            span.add(dict(terms))
-    prev_rank = len(pivots)
-    prev_dim_found = None
-    words_upto = 1
-    state = ("no_stab", None)
+    no_stab = NoStabilizationError(f"no stabilization within degree cap {p.max_degree}; raise "
+                                   f"max_degree or check that the presented algebra is "
+                                   f"finite-dimensional")
+    prev_rank, prev_dim, rows_added = 0, None, 0
 
-    for degree in range(1, p.max_degree + 1):
+    for degree in range(p.max_degree + 1):
+        rows_added += sum((degree - deg_r + 1) * g ** (degree - deg_r)
+                          for deg_r, _ in rel_terms if deg_r <= degree)
+        if rows_added > MAX_ROWS:
+            raise NoStabilizationError(f"the build would eliminate {rows_added} relation rows by "
+                                       f"degree {degree}, above the cap of {MAX_ROWS}")
+        if degree:
+            words.append([w + (l,) for w in words[-1] for l in range(g)])
         for deg_r, terms in rel_terms:
             spare = degree - deg_r
-            if spare < 0:
-                continue
             for left_len in range(spare + 1):
-                for u in words_of(left_len):
-                    for v in words_of(spare - left_len):
+                for u in words[left_len]:
+                    for v in words[spare - left_len]:
                         span.add({u + w + v: c for w, c in terms})
         short_pivots = sum(1 for w in pivots if len(w) < degree)
-        dim_found = words_upto - short_pivots
-        if short_pivots != prev_rank or degree < longest:
-            # fresh pivots among the shorter words, or a relation not yet in:
-            # not stabilized yet
-            state = ("no_stab", dim_found)
-        elif dim_found == p.expected_dim:
-            basis = [
-                w for d in range(degree) for w in words_of(d) if w not in pivots
-            ]
+        dim = _word_count(g, degree - 1) - short_pivots
+        # every relation is in, and no fresh pivot among the shorter words
+        stable = degree >= longest and short_pivots == prev_rank
+        pending = no_stab  # the error the build ends with if this is the cap
+        if stable and dim in (p.expected_dim, prev_dim):
+            basis = [w for ws in words[:degree] for w in ws if w not in pivots]
             rows = closure_rows(basis)
-            if rows is not None:
-                return _construct(p, basis, rows, degree)
-            state = ("not_closed", dim_found)
-        elif dim_found == prev_dim_found:
-            # stabilized twice at the wrong dimension; if multiplication also
-            # closes there is no point running to the cap
-            basis = [
-                w for d in range(degree) for w in words_of(d) if w not in pivots
-            ]
-            if closure_rows(basis) is not None:
-                raise DimensionMismatchError(dim_found, p.expected_dim)
-            state = ("dim", dim_found)
-        else:
-            # no new short pivots, but the measured dimension is still moving
-            state = ("no_stab", dim_found)
-        prev_rank = len(pivots)
-        prev_dim_found = dim_found
-        words_upto += g ** degree
-
-    kind, dim_found = state
-    if kind == "not_closed":
-        raise NotClosedError(
-            f"multiplication does not close on the stabilized basis at degree cap "
-            f"{p.max_degree}; raise max_degree"
-        )
-    if kind == "dim":
-        raise DimensionMismatchError(dim_found, p.expected_dim)
-    raise NoStabilizationError(
-        f"no stabilization within degree cap {p.max_degree}; raise max_degree "
-        f"or check that the presented algebra is finite-dimensional"
-    )
+            if dim == p.expected_dim:
+                if rows is not None:
+                    return _construct(p, basis, rows, degree)
+                pending = NotClosedError(f"multiplication does not close on the stabilized basis "
+                                         f"at degree cap {p.max_degree}; raise max_degree")
+            else:
+                # stabilized twice at the wrong dimension; if multiplication
+                # also closes there is no point running to the cap
+                pending = DimensionMismatchError(dim, p.expected_dim)
+                if rows is not None:
+                    raise pending
+        prev_rank, prev_dim = len(pivots), dim
+    raise pending
 
 
 def _construct(p: Presentation, basis, closure_rows, degree) -> BuildResult:

@@ -10,6 +10,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "demos" / "data"
+TEST_DATA = REPO / "tests" / "data"
 
 
 def random_table(n, seed, entry=str):
@@ -347,6 +348,15 @@ class TestMisshapenInput:
              "cannot read algebra {path}: dim must be at least 1"),
             ("scan", {"kind": "table", "dim": 0, "table": [], "unit": []},
              "cannot read family {path}: dim must be at least 1"),
+            # a relation longer than max_degree could never enter the build: at
+            # t = 0 the family fails to load, and where its top terms vanish only
+            # at t = 0 the scan stops at the first sample
+            ("scan", {"kind": "relations", "generators": ["x"], "relations": ["x^5 - t"],
+                      "expected_dim": 2, "max_degree": 4},
+             "cannot read family {path}: relation of degree 5 is above max_degree 4"),
+            ("scan", {"kind": "relations", "generators": ["x"], "relations": ["x^2 - t*x^5"],
+                      "expected_dim": 2, "max_degree": 4},
+             "relation of degree 5 is above max_degree 4"),
         ],
     )
     def test_exits_2_with_one_line_naming_the_field(self, tmp_path, command, doc, message):
@@ -391,6 +401,20 @@ class TestMisshapenInput:
                        "expected_dim": 2},
              "cannot read presentation {path}: a product of 32768 by 2 terms is above the cap "
              "of 32768 words (at position 89)"),
+            # 15 factors (x+y) have degree 15, above the default max_degree 14 on
+            # two generators
+            ("build", json.loads((TEST_DATA / "relation_above_max_degree.json").read_text()),
+             "cannot read presentation {path}: relation of degree 15 is above max_degree 14"),
+            # ten such products summed, each within the per-product cap: the
+            # relation's budget stops the second one
+            ("build", json.loads((TEST_DATA / "summed_products.json").read_text()),
+             "cannot read presentation {path}: this product brings the terms formed in one "
+             "relation to 131124, above the budget of 131072 (at position 175)"),
+            # x*y - y*x at max_degree 14 walks 32767 words, within the word cap,
+            # but its rows pass the row cap at degree 11
+            ("build", json.loads((TEST_DATA / "commuting_rows.json").read_text()),
+             "build failed: NoStabilizationError: the build would eliminate 9217 relation rows "
+             "by degree 11, above the cap of 8192"),
         ],
     )
     def test_unbounded_presentation_text_exits_2_at_once(self, tmp_path, command, doc, message):

@@ -7,6 +7,7 @@ from algdeform.linalg import GaussianRational
 from algdeform import ncpoly
 from algdeform.ncpoly import (
     MAX_DEGREE,
+    MAX_PARSE_TERMS,
     MAX_WORDS,
     NcParseError,
     NcPoly,
@@ -78,6 +79,43 @@ def test_products_are_capped_at_max_words(monkeypatch):
     with pytest.raises(NcParseError, match="a product of 4 by 2 terms") as err:
         parse_ncpoly("(x+y)*(x+y)*(x+y)", XY)
     assert err.value.position == 11
+
+
+def test_the_products_and_sums_of_a_relation_share_one_budget(monkeypatch):
+    # 15 factors (x+y) form 65532 terms by their products and 30 by their sums,
+    # within the budget; the second such product in a sum passes it at its
+    # 14th '*', before the per-product cap is reached
+    product = "*".join(["(x+y)"] * 15)
+    assert len(parse_ncpoly(product, XY).terms) == MAX_WORDS
+    text = f"{product} + {product}"
+    with pytest.raises(NcParseError, match=f"this product brings the terms formed in one "
+                                           f"relation to 131124, above the budget of "
+                                           f"{MAX_PARSE_TERMS}") as err:
+        parse_ncpoly(text, XY)
+    assert err.value.position == text.rindex("*")
+    # at a sum: x + y forms 2 terms, x*y 1, and the second sum 2 + 1
+    monkeypatch.setattr(ncpoly, "MAX_PARSE_TERMS", 6)
+    assert len(parse_ncpoly("x + y + x*y", XY).terms) == 3
+    monkeypatch.setattr(ncpoly, "MAX_PARSE_TERMS", 5)
+    with pytest.raises(NcParseError, match="this sum brings the terms formed in one relation "
+                                           "to 6, above the budget of 5") as err:
+        parse_ncpoly("x + y + x*y", XY)
+    assert err.value.position == 6
+
+
+def test_a_long_sum_of_one_word_terms_is_held_to_the_budget(monkeypatch):
+    # distinct words: the k-th sum forms k + 1 terms, 2 + 3 + ... + 11 = 65
+    monkeypatch.setattr(ncpoly, "MAX_PARSE_TERMS", 64)
+    words = [f"x^{k}" for k in range(11)]
+    text = " + ".join(words)
+    assert len(parse_ncpoly(" + ".join(words[:10]), XY).terms) == 10
+    with pytest.raises(NcParseError, match="to 65, above the budget of 64") as err:
+        parse_ncpoly(text, XY)
+    assert err.value.position == text.rindex("+")
+    # one word summed again and again forms 2 terms each time
+    with pytest.raises(NcParseError, match="to 66, above the budget of 64") as err:
+        parse_ncpoly(" + ".join(["x"] * 34), XY)
+    assert err.value.position == 4 * 32 + 2
 
 
 def test_parse_parentheses_and_unary_minus():

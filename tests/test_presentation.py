@@ -1,5 +1,6 @@
 import pytest
 
+from algdeform import presentation as presentation_module
 from algdeform.ncpoly import parse_ncpoly
 from algdeform.presentation import (
     MAX_DEGREE,
@@ -118,6 +119,18 @@ class TestErrors:
                 build(presentation(("x",), ["x^3", "x^10 - 1"], expected))
             assert err.value.found_dim == 0
 
+    @pytest.mark.parametrize("max_degree", [None, 1])
+    def test_constant_relation_gives_the_zero_ring(self, max_degree):
+        # 1 = 0 enters at degree 0; the zero ring is already stable at degree 1
+        with pytest.raises(DimensionMismatchError) as err:
+            build(presentation(("x",), ["1"], 1, max_degree))
+        assert err.value.found_dim == 0
+
+    def test_unit_entering_the_ideal_at_degree_one(self):
+        with pytest.raises(DimensionMismatchError) as err:
+            build(presentation(("x",), ["x - 1", "x"], 1))
+        assert err.value.found_dim == 0
+
     def test_no_stabilization_without_relations(self):
         # a free generator can never stabilize
         with pytest.raises(NoStabilizationError):
@@ -153,6 +166,27 @@ class TestErrors:
         # the default is cut down to fit: 11111 words up to degree 4 on ten
         gens = tuple("abcdefghjk")
         assert presentation(gens, ["a*b"], 3).max_degree == 4
+
+    def test_relation_above_max_degree_is_refused(self):
+        with pytest.raises(ValueError, match="relation of degree 4 is above max_degree 3"):
+            presentation(("x",), ["x^2", "x^4 - x"], 3, max_degree=3)
+        # the default is cut down to fit the word cap: 14 on two generators
+        with pytest.raises(ValueError, match="relation of degree 15 is above max_degree 14"):
+            presentation(XY, ["x^15"], 2)
+        assert presentation(XY, ["x^14"], 2).max_degree == 14
+
+    def test_rows_eliminated_are_capped(self, monkeypatch):
+        # x^2 adds its one row at degree 2, where the build is accepted
+        monkeypatch.setattr(presentation_module, "MAX_ROWS", 1)
+        assert build(presentation(("x",), ["x^2"], 2)).algebra.dim == 2
+        monkeypatch.setattr(presentation_module, "MAX_ROWS", 0)
+        with pytest.raises(NoStabilizationError, match="the build would eliminate 1 relation "
+                                                       "rows by degree 2, above the cap of 0"):
+            build(presentation(("x",), ["x^2"], 2))
+        # x*y - y*x adds 1, 4, 12, 32, 80 rows at degrees 2 to 6
+        monkeypatch.setattr(presentation_module, "MAX_ROWS", 100)
+        with pytest.raises(NoStabilizationError, match="129 relation rows by degree 6"):
+            build(presentation(XY, ["x*y - y*x"], 1000, max_degree=10))
 
     def test_wrong_expectation_reported_for_exterior(self):
         with pytest.raises(DimensionMismatchError) as err:
